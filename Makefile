@@ -1,13 +1,14 @@
 # Repository checks. `make check` is the single pre-merge gate:
 # formatting, module hygiene, vet, build, the full test suite, the
 # race-detector pass over the parallel engine and the serving daemon,
-# and the golden-run regression diff.
+# the golden-run regression diff, and the benchmark module's own vet
+# and tests.
 
 GO ?= go
 
-.PHONY: check fmt tidy vet build test race golden golden-update bench-parallel bench-hotpath bench-serve chaos chaos-serve fuzz-buddy cover serve-smoke cluster-smoke
+.PHONY: check fmt tidy vet build test race golden perfbench golden-update bench-parallel bench-hotpath bench-serve chaos chaos-serve fuzz-buddy cover serve-smoke cluster-smoke
 
-check: fmt tidy vet build test race golden
+check: fmt tidy vet build test race golden perfbench
 
 # gofmt as a gate: fail listing the offending files, not rewriting
 # them — CI must never mutate the tree.
@@ -41,6 +42,12 @@ race:
 # goldens (see EXPERIMENTS.md).
 golden:
 	$(GO) test ./internal/experiments -run TestGoldens
+
+# perfbench/ is its own Go module, so the root `go vet ./...` and
+# `go test ./...` never reach it. Vet and test it in place; this writes
+# no file under perfbench/.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate the goldens after an intended simulator change; review the
 # resulting JSON diff before committing it.

@@ -253,9 +253,31 @@ func BenchmarkHierarchyAccessCoLTAll(b *testing.B) {
 func benchHierarchy(b *testing.B, cfg core.Config) {
 	h, pages := newBenchWorld(b, cfg)
 	r := rng.New(1)
+	z := rng.NewZipf(len(pages), 0.9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Access(pages[r.Zipf(len(pages), 0.9)])
+		h.Access(pages[z.Draw(r)])
+	}
+}
+
+// BenchmarkBuildSystem measures one benchmark job's build phase (boot,
+// churn, compaction settling, memhog, workload allocation, contiguity
+// scan) for Mcf at QuickOptions scale, per system setup: the OS-model
+// cost every cold job pays before its first simulated reference.
+func BenchmarkBuildSystem(b *testing.B) {
+	spec, err := workload.ByName("Mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, setup := range experiments.Setups() {
+		b.Run(setup.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := experiments.BuildOnly(spec, setup, experiments.QuickOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -72,3 +72,13 @@ func (h *HotPath) StepsScalar(n int) error {
 // Variants reports how many TLB variants each reference is simulated
 // against (refs/sec counts references, each fanned across variants).
 func (h *HotPath) Variants() int { return len(h.b.sims) }
+
+// BuildOnly runs one benchmark job's build phase and discards the
+// result: system boot, churn, compaction settling, memhog, the
+// workload's allocations and the contiguity scan. It is exactly the
+// code newBenchSim runs, without attaching per-variant simulators;
+// BenchmarkBuildSystem times it.
+func BuildOnly(spec workload.Spec, setup SystemSetup, opts Options) error {
+	_, _, err := newBenchSim(spec, setup, opts, nil)
+	return err
+}

@@ -32,8 +32,8 @@ func TestProbeSystemState(t *testing.T) {
 		}
 		pinned := 0
 		for i := 0; i < sys.Phys.NumFrames(); i++ {
-			fr := sys.Phys.Frame(arch.PFN(i))
-			if fr.Allocated && !fr.Movable {
+			pfn := arch.PFN(i)
+			if sys.Phys.Allocated(pfn) && !sys.Phys.Frame(pfn).Movable {
 				pinned++
 			}
 		}

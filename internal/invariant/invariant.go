@@ -126,13 +126,12 @@ func AuditFrameOwners(sys *vm.System) []Violation {
 						Detail: fmt.Sprintf("maps invalid frame %d", pfn)})
 					continue
 				}
-				f := sys.Phys.Frame(pfn)
-				if !f.Allocated {
+				if !sys.Phys.Allocated(pfn) {
 					out = append(out, Violation{Check: "frame-owner", Subject: subject,
 						Detail: fmt.Sprintf("maps free frame %d", pfn)})
 					continue
 				}
-				if f.Owner.PID != pid || f.Owner.VPN != vpn {
+				if f := sys.Phys.Frame(pfn); f.Owner.PID != pid || f.Owner.VPN != vpn {
 					out = append(out, Violation{Check: "frame-owner", Subject: subject,
 						Detail: fmt.Sprintf("frame %d owner is pid %d vpn %d", pfn, f.Owner.PID, f.Owner.VPN)})
 				}
@@ -145,7 +144,7 @@ func AuditFrameOwners(sys *vm.System) []Violation {
 	for i := 0; i < sys.Phys.NumFrames(); i++ {
 		pfn := arch.PFN(i)
 		f := sys.Phys.Frame(pfn)
-		if !f.Allocated || f.Owner.PID == mm.KernelPID {
+		if !sys.Phys.Allocated(pfn) || f.Owner.PID == mm.KernelPID {
 			continue
 		}
 		subject := fmt.Sprintf("frame %d", pfn)

@@ -64,9 +64,9 @@ func TestAuditBuddy(t *testing.T) {
 	if vs := invariant.AuditBuddy(buddy); len(vs) != 0 {
 		t.Fatalf("fresh buddy audit reported %v", checkStrings(vs))
 	}
-	// Corrupt frame metadata behind the allocator's back: a frame on
-	// the free lists must never be marked Allocated.
-	phys.Frame(3).Allocated = true
+	// Corrupt the allocation bitmap behind the allocator's back: a
+	// frame on the free lists must never be marked allocated.
+	phys.AllocBitmap()[0] |= 1 << 3
 	vs := invariant.AuditBuddy(buddy)
 	if len(vs) == 0 {
 		t.Fatal("buddy audit missed corrupted frame metadata")

@@ -309,7 +309,7 @@ func orderForCount(n int) int {
 // compaction daemon uses to claim migration targets taken from the top
 // of memory. Returns false if the frame is already allocated.
 func (b *Buddy) AllocSpecific(pfn arch.PFN) bool {
-	if !b.phys.Valid(pfn) || b.phys.Frame(pfn).Allocated {
+	if !b.phys.Valid(pfn) || b.phys.Allocated(pfn) {
 		return false
 	}
 	// Find the free block containing pfn: its head is pfn rounded down
@@ -349,14 +349,11 @@ func (b *Buddy) FreeRange(pfn arch.PFN, n int) {
 		panic(fmt.Sprintf("mm: FreeRange length %d", n))
 	}
 	for i := 0; i < n; i++ {
-		f := b.phys.Frame(pfn + arch.PFN(i))
-		if !f.Allocated {
+		if !b.phys.Allocated(pfn + arch.PFN(i)) {
 			panic(fmt.Sprintf("mm: double free of frame %d", pfn+arch.PFN(i)))
 		}
-		f.Allocated = false
-		f.Movable = false
-		f.Owner = PageOwner{}
 	}
+	b.clearFrames(pfn, n)
 	b.stats.Frees++
 	b.freeFrames(pfn, n)
 }
@@ -365,13 +362,18 @@ func (b *Buddy) FreeRange(pfn arch.PFN, n int) {
 // lists after clearing their metadata; used for tails of oversized
 // blocks.
 func (b *Buddy) freeFramesNoStats(pfn arch.PFN, n int) {
-	for i := 0; i < n; i++ {
-		f := b.phys.Frame(pfn + arch.PFN(i))
-		f.Allocated = false
-		f.Movable = false
-		f.Owner = PageOwner{}
-	}
+	b.clearFrames(pfn, n)
 	b.freeFrames(pfn, n)
+}
+
+// clearFrames marks [pfn, pfn+n) not allocated and clears their
+// ownership metadata.
+func (b *Buddy) clearFrames(pfn arch.PFN, n int) {
+	for i := 0; i < n; i++ {
+		p := pfn + arch.PFN(i)
+		b.phys.clearAllocated(p)
+		*b.phys.Frame(p) = Frame{}
+	}
 }
 
 // freeFrames inserts [pfn, pfn+n) into the free lists with buddy
@@ -406,11 +408,11 @@ func (b *Buddy) freeOne(pfn arch.PFN, order int) {
 
 func (b *Buddy) markAllocated(pfn arch.PFN, n int) {
 	for i := 0; i < n; i++ {
-		f := b.phys.Frame(pfn + arch.PFN(i))
-		if f.Allocated {
-			panic(fmt.Sprintf("mm: frame %d allocated twice", pfn+arch.PFN(i)))
+		p := pfn + arch.PFN(i)
+		if b.phys.Allocated(p) {
+			panic(fmt.Sprintf("mm: frame %d allocated twice", p))
 		}
-		f.Allocated = true
+		b.phys.setAllocated(p)
 	}
 }
 
@@ -467,7 +469,7 @@ func (b *Buddy) Audit() []string {
 					issues = append(issues, fmt.Sprintf("frame %d on two free blocks", f))
 				}
 				seen[f] = true
-				if b.phys.Frame(f).Allocated {
+				if b.phys.Allocated(f) {
 					issues = append(issues, fmt.Sprintf("frame %d free but marked allocated", f))
 				}
 			}
@@ -482,7 +484,7 @@ func (b *Buddy) Audit() []string {
 	}
 	for i := 0; i < b.phys.NumFrames(); i++ {
 		pfn := arch.PFN(i)
-		if !b.phys.Frame(pfn).Allocated && !seen[pfn] {
+		if !b.phys.Allocated(pfn) && !seen[pfn] {
 			issues = append(issues, fmt.Sprintf("frame %d neither allocated nor on a free list", pfn))
 		}
 	}

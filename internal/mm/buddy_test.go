@@ -72,7 +72,7 @@ func TestBuddyAllocSplitsLikePaperFigure2(t *testing.T) {
 	// order-3 block.
 	b.FreeBlock(4, 1)
 	b.FreeRange(1, 3)
-	if !pm.Frame(0).Allocated && b.FreeBlocksOfOrder(3) != 1 {
+	if !pm.Allocated(0) && b.FreeBlocksOfOrder(3) != 1 {
 		t.Fatalf("merge back failed: order3=%d", b.FreeBlocksOfOrder(3))
 	}
 	if err := b.CheckInvariants(); err != nil {

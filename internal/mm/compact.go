@@ -1,6 +1,8 @@
 package mm
 
 import (
+	"math/bits"
+
 	"colt/internal/arch"
 	"colt/internal/telemetry"
 )
@@ -215,8 +217,14 @@ func (c *Compactor) compact(targetOrder, budget int) int {
 		if targetOrder >= 0 && moved%exitCheckInterval == 0 && c.orderSatisfied(targetOrder) {
 			return moved
 		}
-		f := c.phys.Frame(migScan)
-		if !f.Allocated || !f.Movable {
+		if !c.phys.Allocated(migScan) {
+			// Nothing changes while the scanner crosses free frames,
+			// so the exit check above would repeat its answer: jump
+			// to the next allocated frame.
+			migScan = c.phys.nextAllocated(migScan, freeScan)
+			continue
+		}
+		if !c.phys.Frame(migScan).Movable {
 			migScan++
 			continue
 		}
@@ -226,8 +234,7 @@ func (c *Compactor) compact(targetOrder, budget int) int {
 		// what it moves.
 		k := 1
 		for k < maxMigrateRun && moved+k < budget && migScan+arch.PFN(k) < freeScan {
-			nf := c.phys.Frame(migScan + arch.PFN(k))
-			if !nf.Allocated || !nf.Movable {
+			if !c.movable(migScan + arch.PFN(k)) {
 				break
 			}
 			k++
@@ -300,23 +307,66 @@ func (c *Compactor) migratePage(from, to arch.PFN) bool {
 	return true
 }
 
-// findFreeRun searches downward from hi for k consecutive free frames
-// strictly above lo, returning the run base and a new downward-scan
-// hint.
+// movable reports whether pfn holds an allocated page the daemon may
+// migrate.
+func (c *Compactor) movable(pfn arch.PFN) bool {
+	return c.phys.Allocated(pfn) && c.phys.Frame(pfn).Movable
+}
+
+// findFreeRun returns the highest base p in (lo, hi] whose k frames
+// [p, p+k-1] are free and lie inside (lo, hi], plus p-1 as the new
+// downward-scan hint; ok is false (with hint lo) when no such run
+// exists. It scans the allocation bitmap a word (64 frames) at a time,
+// top word first. run carries the number of free frames directly above
+// the current word (counting only frames inside the range), so a run
+// may straddle word boundaries. Within a word, a run crossing its top
+// edge beats any run wholly inside it, because its base is higher.
 func (c *Compactor) findFreeRun(lo, hi arch.PFN, k int) (base, hint arch.PFN, ok bool) {
+	if hi <= lo {
+		return 0, lo, false
+	}
+	bitmap := c.phys.alloc
+	loW, hiW := int(lo>>6), int(hi>>6)
 	run := 0
-	for p := hi; p > lo; p-- {
-		if !c.phys.Frame(p).Allocated {
-			run++
-		} else {
-			run = 0
+	for w := hiW; w >= loW; w-- {
+		free := ^bitmap[w]
+		if w == hiW && hi&63 != 63 {
+			free &= 1<<(hi&63+1) - 1
 		}
-		if run == k {
-			hint = p - 1
-			if p == 0 {
-				hint = 0
+		if w == loW {
+			free &^= 2<<(lo&63) - 1 // frames <= lo; lo&63 == 63 clears all
+		}
+		if free == 0 {
+			run = 0
+			continue
+		}
+		wordBase := arch.PFN(w) << 6
+		// A run crossing the top edge needs only the word's top j bits
+		// free to complete the carried run.
+		j := max(1, k-run)
+		if j <= bits.LeadingZeros64(^free) {
+			p := wordBase + 64 - arch.PFN(j)
+			return p, p - 1, true
+		}
+		// Runs wholly inside the word: after the shift-AND doubling,
+		// bit b of win is set iff bits b..b+k-1 of free are all set.
+		// A word with fewer than k free frames cannot hold one.
+		if k <= bits.OnesCount64(free) {
+			win, have := free, 1
+			for have < k {
+				s := min(have, k-have)
+				win &= win >> s
+				have += s
 			}
-			return p, hint, true
+			if win != 0 {
+				p := wordBase + arch.PFN(63-bits.LeadingZeros64(win))
+				return p, p - 1, true
+			}
+		}
+		if free == ^uint64(0) {
+			run += 64
+		} else {
+			run = bits.TrailingZeros64(^free)
 		}
 	}
 	return 0, lo, false

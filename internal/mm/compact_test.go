@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"colt/internal/arch"
+	"colt/internal/rng"
 )
 
 // recordingMigrator remembers every migration so tests can validate
@@ -82,7 +83,7 @@ func TestCompactDefragments(t *testing.T) {
 	// Frame metadata must have followed the pages.
 	for _, m := range mig.moves {
 		f := pm.Frame(m.to)
-		if !f.Allocated || f.Owner != m.owner {
+		if !pm.Allocated(m.to) || f.Owner != m.owner {
 			t.Fatalf("target frame %d metadata wrong: %+v", m.to, *f)
 		}
 	}
@@ -299,7 +300,7 @@ func TestCompactNoFreeTarget(t *testing.T) {
 	// The movable pages must be untouched.
 	for i := 0; i < 32; i++ {
 		f := pm.Frame(arch.PFN(i))
-		if !f.Allocated || f.Owner.PID != 1 || f.Owner.VPN != arch.VPN(i) {
+		if !pm.Allocated(arch.PFN(i)) || f.Owner.PID != 1 || f.Owner.VPN != arch.VPN(i) {
 			t.Fatalf("frame %d metadata disturbed: %+v", i, *f)
 		}
 	}
@@ -342,7 +343,7 @@ func TestCompactRehomingFailureRollsBack(t *testing.T) {
 			continue
 		}
 		f := pm.Frame(pfn)
-		if !f.Allocated || f.Owner.PID != 1 || f.Owner.VPN != arch.VPN(i) {
+		if !pm.Allocated(pfn) || f.Owner.PID != 1 || f.Owner.VPN != arch.VPN(i) {
 			t.Fatalf("unmigrated frame %d metadata wrong after rollback: %+v", i, *f)
 		}
 	}
@@ -401,4 +402,103 @@ func TestFindFreeRun(t *testing.T) {
 	if !ok || base != 50 {
 		t.Fatalf("findFreeRun(1, lo=45) = %d,%v", base, ok)
 	}
+}
+
+// findFreeRunOracle is the frame-at-a-time reference for
+// Compactor.findFreeRun: it walks down from hi counting consecutive
+// free frames and stops at the first run of k.
+func findFreeRunOracle(pm *PhysMem, lo, hi arch.PFN, k int) (base, hint arch.PFN, ok bool) {
+	run := 0
+	for p := hi; p > lo; p-- {
+		if !pm.Allocated(p) {
+			run++
+		} else {
+			run = 0
+		}
+		if run == k {
+			hint = p - 1
+			if p == 0 {
+				hint = 0
+			}
+			return p, hint, true
+		}
+	}
+	return 0, lo, false
+}
+
+// fuzzFrames is the machine size of the findFreeRun differential
+// tests: five bitmap words, the last one partial.
+const fuzzFrames = 300
+
+// randomFrameMap builds a memory of alternating free and allocated runs
+// with lengths drawn uniformly from [1, freeMax+1] and [0, usedMax], so
+// both long free runs and dense fragmentation occur.
+func randomFrameMap(seed uint64, freeMax, usedMax uint8) *PhysMem {
+	pm := NewPhysMem(fuzzFrames)
+	r := rng.New(seed)
+	for p := 0; p < fuzzFrames; {
+		p += 1 + r.Intn(int(freeMax)+1)
+		for n := r.Intn(int(usedMax) + 1); n > 0 && p < fuzzFrames; n-- {
+			pm.setAllocated(arch.PFN(p))
+			p++
+		}
+	}
+	return pm
+}
+
+// checkBitmapScans compares the word-at-a-time bitmap scans with
+// frame-at-a-time loops over one (map, lo, hi): findFreeRun for every
+// run length the compactor asks for (1 to maxMigrateRun) and for
+// longer runs that span more than two words, and nextAllocated over
+// [lo, hi).
+func checkBitmapScans(t *testing.T, pm *PhysMem, lo, hi arch.PFN) {
+	t.Helper()
+	if lo < hi {
+		want := lo
+		for want < hi && !pm.Allocated(want) {
+			want++
+		}
+		if got := pm.nextAllocated(lo, hi); got != want {
+			t.Fatalf("nextAllocated(%d, %d) = %d, want %d", lo, hi, got, want)
+		}
+	}
+	c := &Compactor{phys: pm}
+	for k := 1; k <= 2*64+8; k++ {
+		gb, gh, gok := c.findFreeRun(lo, hi, k)
+		wb, wh, wok := findFreeRunOracle(pm, lo, hi, k)
+		if gb != wb || gh != wh || gok != wok {
+			t.Fatalf("findFreeRun(lo=%d, hi=%d, k=%d) = (%d, %d, %v), oracle (%d, %d, %v)",
+				lo, hi, k, gb, gh, gok, wb, wh, wok)
+		}
+	}
+}
+
+// TestFindFreeRunWordEdges sweeps lo and hi over every word edge
+// (including hi <= lo) on a fully free, a fully allocated and several
+// random maps.
+func TestFindFreeRunWordEdges(t *testing.T) {
+	edges := []arch.PFN{0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 191, 192, 255, 256, fuzzFrames - 2, fuzzFrames - 1}
+	maps := []*PhysMem{NewPhysMem(fuzzFrames), randomFrameMap(1, 0, 1)}
+	for seed := uint64(2); seed < 8; seed++ {
+		maps = append(maps, randomFrameMap(seed, uint8(seed*13), uint8(seed*3)))
+	}
+	for _, pm := range maps {
+		for _, lo := range edges {
+			for _, hi := range edges {
+				checkBitmapScans(t, pm, lo, hi)
+			}
+		}
+	}
+}
+
+// FuzzFindFreeRun checks the word-at-a-time scans against
+// frame-at-a-time loops on random frame maps, ranges and run lengths.
+func FuzzFindFreeRun(f *testing.F) {
+	f.Add(uint64(1), uint8(70), uint8(3), uint16(0), uint16(fuzzFrames-1))
+	f.Add(uint64(2), uint8(5), uint8(5), uint16(63), uint16(128))
+	f.Add(uint64(3), uint8(200), uint8(1), uint16(200), uint16(100))
+	f.Fuzz(func(t *testing.T, seed uint64, freeMax, usedMax uint8, lo, hi uint16) {
+		pm := randomFrameMap(seed, freeMax, usedMax)
+		checkBitmapScans(t, pm, arch.PFN(lo%fuzzFrames), arch.PFN(hi%fuzzFrames))
+	})
 }

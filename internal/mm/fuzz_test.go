@@ -32,7 +32,8 @@ func (m fuzzMigrator) MigratePage(owner mm.PageOwner, from, to arch.PFN) error {
 // FuzzBuddyAllocFree drives random alloc/free/compact sequences against
 // a small machine and runs the buddy free-list auditor after every
 // step: no operation order may corrupt block alignment, free-page
-// accounting, or the allocated/free partition. Movable order-0 pages
+// accounting, or the allocated/free partition that the allocation
+// bitmap and the free lists record between them. Movable order-0 pages
 // let the compaction daemon migrate under the allocator's feet; larger
 // blocks are pinned, modeling the kernel obstacles of paper §3.2.2.
 func FuzzBuddyAllocFree(f *testing.F) {
@@ -51,6 +52,11 @@ func FuzzBuddyAllocFree(f *testing.F) {
 		audit := func(step int, op byte) {
 			if vs := invariant.AuditBuddy(buddy); len(vs) != 0 {
 				t.Fatalf("step %d (op 0x%02x): buddy invariant broken: %v", step, op, vs[0])
+			}
+			// The allocation bitmap and the free lists must partition
+			// memory: every set bit is a frame off the free lists.
+			if got, want := phys.AllocatedFrames(), phys.NumFrames()-int(buddy.FreePages()); got != want {
+				t.Fatalf("step %d (op 0x%02x): bitmap has %d allocated frames, free lists imply %d", step, op, got, want)
 			}
 		}
 		audit(-1, 0)

@@ -8,6 +8,7 @@ package mm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"colt/internal/arch"
 )
@@ -25,9 +26,9 @@ type PageOwner struct {
 }
 
 // Frame is the per-physical-frame metadata, the simulator's equivalent
-// of Linux's struct page.
+// of Linux's struct page. Whether the frame is allocated lives in
+// PhysMem's allocation bitmap, not here (see PhysMem.Allocated).
 type Frame struct {
-	Allocated bool
 	// Movable marks frames the compaction daemon may migrate. User
 	// pages are movable; kernel and page-table pages are not
 	// (paper §3.2.2).
@@ -35,9 +36,15 @@ type Frame struct {
 	Owner   PageOwner
 }
 
-// PhysMem models the machine's physical memory as an array of frames.
+// PhysMem models the machine's physical memory as an array of frames
+// plus an allocation bitmap.
 type PhysMem struct {
 	frames []Frame
+	// alloc holds one bit per frame, set while the frame is allocated:
+	// frame pfn is bit pfn%64 of word pfn/64. It is the only record of
+	// allocation state. The buddy allocator is its only writer, and
+	// the compactor's free-run search reads it 64 frames per load.
+	alloc []uint64
 }
 
 // NewPhysMem creates a physical memory with n frames.
@@ -45,7 +52,7 @@ func NewPhysMem(n int) *PhysMem {
 	if n <= 0 {
 		panic("mm: physical memory must have at least one frame")
 	}
-	return &PhysMem{frames: make([]Frame, n)}
+	return &PhysMem{frames: make([]Frame, n), alloc: make([]uint64, (n+63)/64)}
 }
 
 // NumFrames returns the total number of frames.
@@ -59,6 +66,35 @@ func (pm *PhysMem) Frame(pfn arch.PFN) *Frame {
 	return &pm.frames[pfn]
 }
 
+// Allocated reports whether frame pfn is allocated.
+func (pm *PhysMem) Allocated(pfn arch.PFN) bool {
+	return pm.alloc[pfn>>6]&(1<<(pfn&63)) != 0
+}
+
+// AllocBitmap returns the live allocation bitmap (frame pfn is bit
+// pfn%64 of word pfn/64). Writing to it bypasses the allocator and
+// corrupts its state; it exists so audits can be tested against
+// deliberately corrupted metadata.
+func (pm *PhysMem) AllocBitmap() []uint64 { return pm.alloc }
+
+// nextAllocated returns the first allocated frame in [from, to), or to
+// when there is none, reading the bitmap a word at a time.
+func (pm *PhysMem) nextAllocated(from, to arch.PFN) arch.PFN {
+	w := int(from >> 6)
+	word := pm.alloc[w] &^ (1<<(from&63) - 1)
+	for word == 0 {
+		w++
+		if arch.PFN(w)<<6 >= to {
+			return to
+		}
+		word = pm.alloc[w]
+	}
+	return min(arch.PFN(w)<<6+arch.PFN(bits.TrailingZeros64(word)), to)
+}
+
+func (pm *PhysMem) setAllocated(pfn arch.PFN)   { pm.alloc[pfn>>6] |= 1 << (pfn & 63) }
+func (pm *PhysMem) clearAllocated(pfn arch.PFN) { pm.alloc[pfn>>6] &^= 1 << (pfn & 63) }
+
 // Valid reports whether pfn addresses a frame inside this memory.
 func (pm *PhysMem) Valid(pfn arch.PFN) bool {
 	return uint64(pfn) < uint64(len(pm.frames))
@@ -71,14 +107,12 @@ func (pm *PhysMem) SetOwner(pfn arch.PFN, owner PageOwner, movable bool) {
 	f.Movable = movable
 }
 
-// AllocatedFrames counts currently allocated frames (O(n); intended for
-// tests and reporting, not hot paths).
+// AllocatedFrames counts currently allocated frames (O(n/64); intended
+// for tests and reporting, not hot paths).
 func (pm *PhysMem) AllocatedFrames() int {
 	n := 0
-	for i := range pm.frames {
-		if pm.frames[i].Allocated {
-			n++
-		}
+	for _, w := range pm.alloc {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }

@@ -38,7 +38,7 @@ func TestTHPAllocAlignedAndUnmovable(t *testing.T) {
 	}
 	for i := 0; i < arch.PagesPerHuge; i++ {
 		f := pm.Frame(pfn + arch.PFN(i))
-		if !f.Allocated || f.Movable {
+		if !pm.Allocated(pfn+arch.PFN(i)) || f.Movable {
 			t.Fatalf("huge frame %d: %+v", i, *f)
 		}
 		if f.Owner.PID != 7 || f.Owner.VPN != arch.VPN(512+i) {
@@ -129,7 +129,7 @@ func TestTHPPressureSplit(t *testing.T) {
 	// Split frames become movable but stay allocated (residual
 	// contiguity preserved).
 	f := pm.Frame(splitCalls[0].BasePFN)
-	if !f.Allocated || !f.Movable {
+	if !pm.Allocated(splitCalls[0].BasePFN) || !f.Movable {
 		t.Fatalf("split frame state: %+v", *f)
 	}
 	if b.FreePages() >= 2048 {

@@ -261,24 +261,26 @@ func (t *Table) leafNode(vpn arch.VPN) (*node, int) {
 	return n, LeafLevel
 }
 
-// path returns the nodes visited from root toward vpn's leaf, stopping
-// early at a hole or a huge mapping. Mutation paths (Unmap, SplitHuge,
-// prune) use it; translation paths use the allocation-free leafNode.
-func (t *Table) path(vpn arch.VPN) []*node {
-	nodes := make([]*node, 0, Levels)
+// path records the nodes visited from root toward vpn's leaf into
+// nodes, stopping early at a hole or a huge mapping, and returns how
+// many it recorded. Mutation paths (Unmap, SplitHuge, prune) use it
+// with a caller-owned array, so it allocates nothing; translation
+// paths use leafNode.
+func (t *Table) path(vpn arch.VPN, nodes *[Levels]*node) int {
 	n := t.root
 	for level := 0; level < LeafLevel; level++ {
-		nodes = append(nodes, n)
+		nodes[level] = n
 		idx := levelIndex(vpn, level)
 		if level == HugeLevel && n.ptes[idx].Present() {
-			return nodes
+			return level + 1
 		}
 		if n.children[idx] == nil {
-			return nodes
+			return level + 1
 		}
 		n = n.children[idx]
 	}
-	return append(nodes, n)
+	nodes[LeafLevel] = n
+	return Levels
 }
 
 // Lookup returns the leaf PTE mapping vpn: a base PTE, or the covering
@@ -422,8 +424,8 @@ func lineFromLeaf(leaf *node, vpn arch.VPN, group *[arch.PTEsPerLine]arch.Transl
 // Unmap removes the 4 KB mapping for vpn, pruning emptied tables.
 func (t *Table) Unmap(vpn arch.VPN) error {
 	t.dirty()
-	nodes := t.path(vpn)
-	if len(nodes) != Levels {
+	var nodes [Levels]*node
+	if t.path(vpn, &nodes) != Levels {
 		return ErrNotMapped
 	}
 	leaf := nodes[Levels-1]
@@ -434,18 +436,18 @@ func (t *Table) Unmap(vpn arch.VPN) error {
 	leaf.ptes[idx] = arch.PTE{}
 	leaf.live--
 	t.mappedBase--
-	t.prune(nodes, vpn)
+	t.prune(nodes[:], vpn)
 	return nil
 }
 
 // UnmapHuge removes the 2 MB mapping at baseVPN.
 func (t *Table) UnmapHuge(baseVPN arch.VPN) error {
 	t.dirty()
-	nodes := t.path(baseVPN)
-	last := nodes[len(nodes)-1]
-	if len(nodes) != HugeLevel+1 {
+	var nodes [Levels]*node
+	if t.path(baseVPN, &nodes) != HugeLevel+1 {
 		return ErrNotMapped
 	}
+	last := nodes[HugeLevel]
 	idx := levelIndex(baseVPN, HugeLevel)
 	if pte := last.ptes[idx]; !pte.Present() || !pte.Huge {
 		return ErrNotMapped
@@ -453,7 +455,7 @@ func (t *Table) UnmapHuge(baseVPN arch.VPN) error {
 	last.ptes[idx] = arch.PTE{}
 	last.live--
 	t.mappedHuge--
-	t.prune(nodes, baseVPN)
+	t.prune(nodes[:HugeLevel+1], baseVPN)
 	return nil
 }
 
@@ -477,8 +479,8 @@ func (t *Table) prune(nodes []*node, vpn arch.VPN) {
 // caller is responsible for the corresponding TLB shootdown.
 func (t *Table) Remap(vpn arch.VPN, newPFN arch.PFN) error {
 	t.dirty()
-	nodes := t.path(vpn)
-	if len(nodes) != Levels {
+	var nodes [Levels]*node
+	if t.path(vpn, &nodes) != Levels {
 		return ErrNotMapped
 	}
 	leaf := nodes[Levels-1]
@@ -495,8 +497,8 @@ func (t *Table) Remap(vpn arch.VPN, newPFN arch.PFN) error {
 // THP's pressure daemon performs.
 func (t *Table) SplitHuge(baseVPN arch.VPN) error {
 	t.dirty()
-	nodes := t.path(baseVPN)
-	if len(nodes) != HugeLevel+1 {
+	var nodes [Levels]*node
+	if t.path(baseVPN, &nodes) != HugeLevel+1 {
 		return ErrNotMapped
 	}
 	pmd := nodes[HugeLevel]

@@ -105,27 +105,98 @@ func (r *RNG) Stream(name string) *RNG {
 // Zipf returns a value in [0, n) following an approximate Zipf
 // distribution with exponent s > 0: low indices are much more likely.
 // It uses the inverse-CDF power-law approximation, which is accurate
-// enough for workload skew modeling.
+// enough for workload skew modeling. Callers drawing repeatedly from
+// one (n, s) should build the sampler once with NewZipf.
 func (r *RNG) Zipf(n int, s float64) int {
+	z := NewZipf(n, s)
+	return z.Draw(r)
+}
+
+// Zipf is RNG.Zipf's sampler for one fixed (n, s), with the per-(n, s)
+// work done once. A draw maps u = Float64() to v = y^e, where
+// y = u*(x-1)+1, x = (n+1)^(1-s) and e = 1/(1-s), and returns
+// int(v)-1 clamped to [0, n). Which integer v truncates to must match
+// math.Pow(y, e) exactly, because the draws decide report bytes. Pow
+// is slow, so a draw first computes v as Exp(e*Log(y)). The two agree
+// to within a relative error bound m (see zipfMargin). If no integer
+// lies within v*(1±m), both values truncate alike and the fast value
+// stands. Otherwise the draw computes Pow.
+type Zipf struct {
+	n       int
+	uniform bool // s <= 0: draws are uniform
+	x, e    float64
+	// lo and hi are 1-m and 1+m: they scale a fast value to the edges
+	// of its guard band.
+	lo, hi float64
+	// exact forces Pow on every draw when the band is too wide to help.
+	exact bool
+}
+
+// NewZipf builds the sampler for RNG.Zipf(n, s). It panics if n <= 0.
+func NewZipf(n int, s float64) Zipf {
 	if n <= 0 {
 		panic("rng: Zipf with non-positive n")
 	}
 	if s <= 0 {
-		return r.Intn(n)
+		return Zipf{n: n, uniform: true}
 	}
 	if s == 1 {
 		s = 1.0000001 // the inverse CDF below is singular at s=1
 	}
-	u := r.Float64()
 	// Inverse CDF of p(x) ~ x^{-s} over [1, n+1).
-	x := math.Pow(float64(n)+1, 1-s)
-	v := math.Pow(u*(x-1)+1, 1/(1-s))
+	z := Zipf{n: n, x: math.Pow(float64(n)+1, 1-s), e: 1 / (1 - s)}
+	m := zipfMargin(z.e, n)
+	z.lo, z.hi = 1-m, 1+m
+	z.exact = !(m < 1e-3) // also catches a NaN margin
+	return z
+}
+
+// zipfMargin bounds the relative gap between Exp(e*Log(y)) and
+// math.Pow(y, e) for the y values a draw produces, with a factor-4
+// safety margin. Write u = 2^-53 for the unit roundoff; draws have
+// 1 <= v <= n+1, so |ln v| <= ln(n+1).
+//
+// Pow splits |e| into an integer part yi (at most trunc(|e|)+1) and a
+// fraction f with |f| <= 1/2. It raises y to f with Exp and Log,
+// multiplies in y^yi by repeated squaring, and inverts the result
+// when e < 0. The j-th square carries (2^j-1) roundings and each
+// multiply adds one, so the product carries yi roundings. The
+// fraction term errs by about (1 + 2|f ln y|)u, where |f ln y| <=
+// |ln v|, and the inversion adds one rounding. So Pow errs by at most
+// about (trunc(|e|) + 3 + 2 ln(n+1))u.
+//
+// Exp(e*Log(y)) errs by about (1 + 2 ln(n+1))u: the exponent's
+// absolute error of 2|ln v|u becomes relative error in the result. The
+// two errors sum to under (trunc(|e|) + 4 + 4 ln(n+1))u, and the
+// margin is 4x that. The fast value is also rejected when it is not
+// finite or is outside [2^-1000, 2^52], where these bounds or the
+// integer conversion would not hold.
+func zipfMargin(e float64, n int) float64 {
+	return (math.Trunc(math.Abs(e)) + 4*math.Log(float64(n)+1) + 4) * 0x1p-51
+}
+
+// Draw returns the next sample in [0, n), consuming exactly the draws
+// RNG.Zipf(n, s) would.
+func (z *Zipf) Draw(r *RNG) int {
+	if z.uniform {
+		return r.Intn(z.n)
+	}
+	return z.at(r.Float64())
+}
+
+// at maps one uniform u in [0, 1) to its sample.
+func (z *Zipf) at(u float64) int {
+	y := u*(z.x-1) + 1
+	v := math.Exp(z.e * math.Log(y))
+	if z.exact || !(v >= 0x1p-1000 && v <= 0x1p52) || int(v*z.lo) != int(v*z.hi) {
+		v = math.Pow(y, z.e)
+	}
 	idx := int(v) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= n {
-		idx = n - 1
+	if idx >= z.n {
+		idx = z.n - 1
 	}
 	return idx
 }

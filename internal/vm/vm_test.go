@@ -26,7 +26,7 @@ func checkRegionMapped(t *testing.T, s *System, p *Process, r *Region) {
 			t.Fatalf("region page %d unmapped", vpn)
 		}
 		f := s.Phys.Frame(pfn)
-		if !f.Allocated {
+		if !s.Phys.Allocated(pfn) {
 			t.Fatalf("page %d backed by free frame %d", vpn, pfn)
 		}
 		if f.Owner.PID != p.PID || f.Owner.VPN != vpn {

@@ -88,6 +88,8 @@ type Workload struct {
 	hot  []arch.VPN
 	cold []arch.VPN
 	r    *rng.RNG
+	// zipf draws hot-set indexes; built once the hot set is final.
+	zipf rng.Zipf
 
 	burstLeft int
 	cur       arch.VPN
@@ -180,6 +182,7 @@ func Build(spec Spec, proc *vm.Process, r *rng.RNG) (*Workload, error) {
 	if len(w.hot) == 0 {
 		return nil, fmt.Errorf("workload %s: empty hot set", spec.Name)
 	}
+	w.zipf = rng.NewZipf(len(w.hot), spec.ZipfS)
 	if len(w.cold) == 0 {
 		// Degenerate but legal: treat the hot set as the cold set too.
 		w.cold = w.hot
@@ -222,7 +225,7 @@ func (w *Workload) Next() (arch.VAddr, bool, int) {
 			vpn = w.cold[w.r.Intn(len(w.cold))]
 		}
 	} else {
-		vpn = w.hot[w.r.Zipf(len(w.hot), spec.ZipfS)]
+		vpn = w.hot[w.zipf.Draw(w.r)]
 	}
 	if spec.BurstMean > 1 {
 		w.burstLeft = w.r.IntRange(0, 2*(spec.BurstMean-1))
