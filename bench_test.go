@@ -194,8 +194,9 @@ func BenchmarkHotPath(b *testing.B) {
 // BenchmarkHotPathScalar meters the scalar (batch size 1) loop on the
 // same fixture — the fallback path traced jobs take. Note this is the
 // current tree's scalar loop, which shares the data-layout work; the
-// BENCH_hotpath.json speedup gate is measured against the *pre-PR*
-// loop instead (see EXPERIMENTS.md).
+// BENCH_hotpath.json speedup is measured against the base commit's
+// BenchmarkHotPath, run interleaved by scripts/bench_hotpath.sh (see
+// EXPERIMENTS.md).
 func BenchmarkHotPathScalar(b *testing.B) {
 	h, err := experiments.NewHotPath(1)
 	if err != nil {

@@ -7,19 +7,19 @@
 // level directly.
 //
 // The per-level state is laid out data-oriented rather than as a
-// slice of line structs: each line's whole metadata is one uint64 word
-// (tag and dirty bit in the low half, LRU recency in the high half) in
-// a single lane blocked by set, so a probe is one load per way over
-// adjacent memory and the miss path's victim scan rereads the words
-// the probe just pulled into the host cache. This level sits on the simulator's per-reference hot path
-// (every data reference and every PTE fetch of every TLB variant
-// lands here), so its probe cost multiplies across millions of
+// slice of line structs: each line's tag and dirty bit are one uint32
+// in a lane blocked by set, so a probe is one load per way over
+// adjacent memory, and each set's LRU order is one packed uint64, so
+// victim selection is a single load with no scan. This level sits on
+// the simulator's per-reference hot path (every data reference and
+// every PTE fetch of every TLB variant lands here), so its probe cost
+// and its footprint in the host's caches multiply across millions of
 // references.
 package cache
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"colt/internal/arch"
 )
@@ -51,45 +51,53 @@ type Stats struct {
 	Writebacks uint64
 }
 
-// Line-metadata encoding. Each line is one uint64 word in the fused
-// meta lane: the low half holds the 31-bit tag plus the dirty bit, the
-// high half the LRU recency tick, with recency 0 reserved to mean
-// "never filled", i.e. invalid — lines are only ever filled, never
-// invalidated, so the encoding is stable. Folding valid into recency
-// and dirty into the tag removes every other lane: a probe is a single
-// load and mask per way, a hit's recency update a single store, and
-// the whole metadata footprint is 8 bytes per line — which is what
-// matters when several variants' multi-megabyte LLCs thrash the host
-// cache.
+// Line-metadata encoding. Each line is one uint32 in the tag lane: the
+// low 31 bits hold the line's tag plus one, the top bit its dirty bit.
+// A stored 0 therefore means "never filled", i.e. invalid, so `make`
+// yields an all-invalid cache and the hit scan needs no separate valid
+// check — lines are only ever filled, never invalidated, so the
+// encoding is stable. A 16-way set's tags fill one 64-byte host cache
+// line.
+//
+// Recency lives beside the tags, one uint64 per set: a permutation of
+// the set's way numbers, four bits per way, ordered from the LRU end
+// (nibble 0) to the MRU end (nibble ways-1); nibbles at and above ways
+// stay zero. A hit rotates its way to the MRU end, and a miss fills
+// the way in nibble 0 and rotates it there. Invalid ways are never
+// touched until they are filled, so they stay at the LRU end in
+// ascending way order, and nibble 0 is exactly "the first invalid
+// way, else the least recently used" (DESIGN.md §16).
 const (
 	dirtyBit uint32 = 1 << 31
 	tagMask  uint32 = dirtyBit - 1
-	// invalidTag is the reserved all-ones 31-bit tag an empty line
-	// holds, so a hit scan needs no separate valid check: Access
-	// guards that no real address ever produces it.
-	invalidTag uint32 = tagMask
-	// maxTick is the renormalization threshold: when the 32-bit LRU
-	// clock would reach it, ticks are compressed rank-preservingly so
-	// exact-LRU ordering survives arbitrarily long runs.
-	maxTick uint32 = ^uint32(0) - 1
+	// maxWays is the most ways a nibble-per-way permutation holds in
+	// one uint64.
+	maxWays = 16
+	// nibbleOnes and nibbleHighs are the per-nibble constants of the
+	// zero-nibble search in touch.
+	nibbleOnes  uint64 = 0x1111111111111111
+	nibbleHighs uint64 = 0x8888888888888888
+	// identityLRU is the initial permutation: way i in nibble i.
+	identityLRU uint64 = 0xFEDCBA9876543210
 )
 
 // Cache is one set-associative level backed by a lower Level. Line
-// metadata lives in one fused lane, blocked by set: ways tag words
-// followed by ways recency words, contiguous per set, so a probe's
-// tag scan and the miss path's victim scan read adjacent memory.
+// metadata is a tag lane blocked by set plus one recency word per set
+// (see the encoding above), so a probe scans ways adjacent uint32s and
+// victim selection reads a single word.
 type Cache struct {
 	cfg      Config
 	sets     int
 	setShift uint // log2(sets), precomputed off the probe path
 	ways     int
+	mruShift uint // 4*(ways-1): the bit offset of the MRU nibble
 	hitLat   int
 
-	// meta holds, for each set s, the block meta[s*ways : (s+1)*ways]:
-	// one tag|dirty|recency word per way, so a probe's tag scan, its
-	// hit-path recency update, and the miss path's victim scan all
-	// touch the same adjacent words.
-	meta []uint64
+	// tags holds, for each set s, the block tags[s*ways : (s+1)*ways]:
+	// one (tag+1)|dirty word per way, 0 when the way is invalid.
+	tags []uint32
+	// lru holds one way permutation per set, LRU nibble first.
+	lru []uint64
 
 	next Level
 	// Devirtualized next-level pointers: the common chain is
@@ -99,18 +107,18 @@ type Cache struct {
 	nextCache *Cache
 	nextMem   *Memory
 
-	tick  uint32
 	stats Stats
 }
 
 // New builds a cache level on top of next. Size must be a multiple of
-// ways × line size, and the set count must be a power of two.
+// ways × line size, ways must be at most 16, and the set count must be
+// a power of two.
 func New(cfg Config, next Level) *Cache {
 	if next == nil {
 		panic("cache: nil next level")
 	}
 	linesTotal := cfg.SizeBytes / arch.CacheLineSize
-	if linesTotal <= 0 || cfg.Ways <= 0 || linesTotal%cfg.Ways != 0 {
+	if linesTotal <= 0 || cfg.Ways <= 0 || cfg.Ways > maxWays || linesTotal%cfg.Ways != 0 {
 		panic(fmt.Sprintf("cache %s: bad geometry size=%d ways=%d", cfg.Name, cfg.SizeBytes, cfg.Ways))
 	}
 	sets := linesTotal / cfg.Ways
@@ -122,12 +130,17 @@ func New(cfg Config, next Level) *Cache {
 		sets:     sets,
 		setShift: uintLog2(sets),
 		ways:     cfg.Ways,
+		mruShift: 4 * uint(cfg.Ways-1),
 		hitLat:   cfg.HitLatency,
-		meta:     make([]uint64, linesTotal),
+		tags:     make([]uint32, linesTotal),
+		lru:      make([]uint64, sets),
 		next:     next,
 	}
-	for j := range c.meta {
-		c.meta[j] = uint64(invalidTag)
+	// The unused high nibbles must read zero: touch shifts them down
+	// into the permutation.
+	identity := identityLRU & (^uint64(0) >> (64 - 4*uint(cfg.Ways)))
+	for s := range c.lru {
+		c.lru[s] = identity
 	}
 	switch n := next.(type) {
 	case *Cache:
@@ -168,104 +181,76 @@ func (c *Cache) fill(addr arch.PAddr, write bool) int {
 
 // Access implements Level.
 func (c *Cache) Access(addr arch.PAddr, write bool) int {
-	if c.tick >= maxTick {
-		c.renormalize()
-	}
-	c.tick++
 	lineNo := addr.Line()
 	set := int(lineNo) & (c.sets - 1)
-	fullTag := lineNo >> c.setShift
-	if fullTag >= uint64(invalidTag) {
-		panic(fmt.Sprintf("cache %s: physical address %#x exceeds the 31-bit tag field", c.cfg.Name, uint64(addr)))
-	}
-	tag := uint32(fullTag)
+	// key is the stored form of the tag. It is compared in 64 bits so
+	// a tag too wide for the lane can never hit; miss rejects it.
+	key := lineNo>>c.setShift + 1
 	block := set * c.ways
 
 	// Hit scan: one load and masked compare per way over the set's
-	// contiguous metadata words (invalid lines hold the reserved
-	// invalidTag); a hit folds its recency update and dirty-bit set
-	// into a single store. Victim selection is deferred to the miss
-	// path so hits pay nothing for it.
-	lane := c.meta[block : block+c.ways]
-	for j := range lane {
-		if w := lane[j]; uint32(w)&tagMask == tag {
+	// contiguous tag words (invalid ways hold 0, which no key equals).
+	lane := c.tags[block : block+c.ways]
+	for j, w := range lane {
+		if uint64(w&tagMask) == key {
 			c.stats.Hits++
-			low := uint32(w)
 			if write {
-				low |= dirtyBit
+				lane[j] = w | dirtyBit
 			}
-			lane[j] = uint64(low) | uint64(c.tick)<<32
+			c.touch(set, j)
 			return c.hitLat
 		}
 	}
-	return c.miss(addr, write, block, set, tag)
+	return c.miss(addr, write, block, set, key)
 }
 
-// miss services a demand miss: victim selection, next-level fill, and
-// writeback accounting. Because an invalid line's recency half is 0
-// and every filled line's is a positive tick, the old ordering —
-// invalid ways first, then least-recently used, first-lowest wins —
-// collapses to a plain first-minimum scan over the recency halves of
-// the words the hit scan just loaded.
-func (c *Cache) miss(addr arch.PAddr, write bool, block, set int, tag uint32) int {
-	c.stats.Misses++
-	lane := c.meta[block : block+c.ways]
-	vi, min := 0, uint32(lane[0]>>32)
-	if min != 0 {
-		for j := 1; j < len(lane); j++ {
-			if r := uint32(lane[j] >> 32); r < min {
-				vi, min = j, r
-			}
-			// A never-filled way (recency 0) cannot be beaten — the
-			// old ordering takes the first invalid way — so the scan
-			// stops there.
-			if min == 0 {
-				break
-			}
-		}
+// touch moves way to the MRU end of set's permutation. The common
+// case, a hit on the MRU way, is a no-op. Otherwise the way's nibble
+// is found with the zero-nibble trick: XOR with way in every nibble
+// zeroes exactly the matching nibbles, and the lowest zero nibble of x
+// is the lowest set bit of (x-ones) &^ x & highs (a borrow can only
+// flag nibbles above a true zero). Unused high nibbles XOR to way and
+// read as zero for way 0, but way 0 always sits lower, so they never
+// win.
+func (c *Cache) touch(set, way int) {
+	perm := c.lru[set]
+	if perm>>c.mruShift == uint64(way) {
+		return
 	}
+	x := perm ^ uint64(way)*nibbleOnes
+	p := uint(bits.TrailingZeros64((x-nibbleOnes)&^x&nibbleHighs)) &^ 3
+	c.lru[set] = perm&(1<<p-1) | perm>>(p+4)<<p | uint64(way)<<c.mruShift
+}
+
+// miss services a demand miss: the victim is the permutation's LRU
+// nibble, rotated to the MRU end; then the next-level fill and the
+// writeback accounting.
+func (c *Cache) miss(addr arch.PAddr, write bool, block, set int, key uint64) int {
+	if key > uint64(tagMask) {
+		panic(fmt.Sprintf("cache %s: physical address %#x exceeds the 31-bit tag field", c.cfg.Name, uint64(addr)))
+	}
+	c.stats.Misses++
+	perm := c.lru[set]
+	vi := int(perm & 0xF)
+	c.lru[set] = perm>>4 | uint64(vi)<<c.mruShift
 
 	lat := c.hitLat + c.fill(addr, false)
-	if vt := uint32(lane[vi]); min != 0 {
+	if vt := c.tags[block+vi]; vt != 0 {
 		c.stats.Evictions++
 		if vt&dirtyBit != 0 {
 			c.stats.Writebacks++
 			// Writebacks happen off the critical path; count but do not
 			// add latency.
-			wbAddr := arch.PAddr((uint64(vt&tagMask)<<c.setShift | uint64(set)) * arch.CacheLineSize)
+			wbAddr := arch.PAddr(((uint64(vt&tagMask)-1)<<c.setShift | uint64(set)) * arch.CacheLineSize)
 			c.fill(wbAddr, true)
 		}
 	}
-	low := tag
+	t := uint32(key)
 	if write {
-		low |= dirtyBit
+		t |= dirtyBit
 	}
-	lane[vi] = uint64(low) | uint64(c.tick)<<32
+	c.tags[block+vi] = t
 	return lat
-}
-
-// renormalize compresses the LRU clock: every resident line's recency
-// half is remapped to its rank among all resident lines (ranks start
-// at 1; 0 keeps meaning invalid), and the tick restarts past the
-// highest rank. Ticks are unique per access, so rank order equals
-// tick order and exact-LRU victim selection is unchanged. Runs once
-// per ~4 billion accesses; cost is a sort over the line count.
-func (c *Cache) renormalize() {
-	type rec struct {
-		tick uint32
-		idx  int
-	}
-	live := make([]rec, 0, c.sets*c.ways)
-	for j := range c.meta {
-		if t := uint32(c.meta[j] >> 32); t != 0 {
-			live = append(live, rec{t, j})
-		}
-	}
-	sort.Slice(live, func(a, b int) bool { return live[a].tick < live[b].tick })
-	for rank, r := range live {
-		c.meta[r.idx] = uint64(uint32(c.meta[r.idx])) | uint64(rank+1)<<32
-	}
-	c.tick = uint32(len(live))
 }
 
 func uintLog2(n int) uint {
@@ -292,7 +277,8 @@ func (m *Memory) Access(arch.PAddr, bool) int {
 func (m *Memory) Accesses() uint64 { return m.accesses }
 
 // Hierarchy bundles the three-level configuration the paper simulates
-// (32 KB L1 / 256 KB L2 / 4 MB LLC, Intel Core i7-like).
+// (32 KB L1 / 256 KB L2 / 4 MB LLC, Intel Core i7-like). A NewBackEnd
+// hierarchy has only the LLC and memory; its L1 and L2 are nil.
 type Hierarchy struct {
 	L1  *Cache
 	L2  *Cache
@@ -309,11 +295,19 @@ func llcConfig() Config { return Config{Name: "LLC", SizeBytes: 4 << 20, Ways: 1
 
 // DefaultHierarchy builds the paper's cache configuration.
 func DefaultHierarchy() *Hierarchy {
+	h := NewBackEnd()
+	h.L2 = New(l2Config(), h.LLC)
+	h.L1 = New(l1Config(), h.L2)
+	return h
+}
+
+// NewBackEnd builds only the paper's LLC over memory: a TLB variant's
+// private back end when a shared Front supplies L1 and L2. Its L1 and
+// L2 are nil, so it serves WalkAccess and direct LLC accesses, not
+// DataAccess.
+func NewBackEnd() *Hierarchy {
 	mem := &Memory{Latency: 200}
-	llc := New(llcConfig(), mem)
-	l2 := New(l2Config(), llc)
-	l1 := New(l1Config(), l2)
-	return &Hierarchy{L1: l1, L2: l2, LLC: llc, Mem: mem}
+	return &Hierarchy{LLC: New(llcConfig(), mem), Mem: mem}
 }
 
 // DataAccess services a demand data reference from the core (enters at

@@ -426,12 +426,12 @@ func contigRecord(bench string, setup SystemSetup, seed uint64, res contig.Resul
 }
 
 // simulator bundles one TLB variant's private state: its TLB hierarchy,
-// walker (with MMU cache), and cache hierarchy.
+// walker (with MMU cache), and LLC-only cache back end.
 type simulator struct {
 	name     string
 	hier     *core.Hierarchy
 	walker   *mmu.Walker
-	caches   *cache.Hierarchy
+	caches   *cache.Hierarchy // NewBackEnd: LLC and memory only
 	memStall uint64
 	pid      int
 	// tel is this variant's telemetry sink (nil when telemetry is
@@ -744,7 +744,9 @@ func newBenchSim(spec workload.Spec, setup SystemSetup, opts Options, variants [
 		proc.Table.SetWalkDepthHist(&b.walkDepth)
 	}
 	for i, v := range variants {
-		caches := cache.DefaultHierarchy()
+		// The shared front serves L1 and L2, so a variant owns only
+		// the LLC its walker perturbs.
+		caches := cache.NewBackEnd()
 		walker := mmu.NewWalker(proc.Table, caches, mmu.NewWalkCache(mmu.DefaultWalkCacheEntries))
 		b.sims[i] = &simulator{
 			name:   v.Name,
