@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check fmt tidy vet build test race golden perfbench golden-update bench-parallel bench-hotpath bench-serve chaos chaos-serve fuzz-buddy cover serve-smoke cluster-smoke
+.PHONY: check fmt tidy vet build test race golden perfbench golden-update bench-parallel bench-hotpath bench-serve chaos chaos-serve fuzz cover serve-smoke cluster-smoke
 
 check: fmt tidy vet build test race golden perfbench
 
@@ -87,10 +87,19 @@ chaos:
 chaos-serve:
 	./scripts/chaos_serve.sh
 
-# A short buddy-allocator fuzz run with the free-list auditor asserted
-# after every operation (CI runs the corpus only, via `make test`).
-fuzz-buddy:
-	$(GO) test ./internal/mm -run '^$$' -fuzz FuzzBuddyAllocFree -fuzztime 30s
+# Fuzz every Fuzz* target in the module for FUZZTIME each, e.g.
+# `make fuzz FUZZTIME=30s`. Targets are found with `go test -list`, so a
+# new one needs no edit here (CI runs the checked-in corpora only, via
+# `make test`).
+FUZZTIME ?= 30s
+fuzz:
+	@set -e; list=$$($(GO) test -list '^Fuzz' ./...); \
+	printf '%s\n' "$$list" | \
+		awk '/^Fuzz/ { f[n++] = $$1; next } /^ok/ { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }' | \
+	while read -r pkg target; do \
+		echo "fuzz: $$pkg $$target ($(FUZZTIME))"; \
+		$(GO) test "$$pkg" -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME); \
+	done
 
 # Serve-path smoke: boot coltd on an ephemeral port, submit a quick
 # table1 job, assert the identical resubmission is a byte-identical

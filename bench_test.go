@@ -191,12 +191,11 @@ func BenchmarkHotPath(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathScalar meters the scalar (batch size 1) loop on the
-// same fixture — the fallback path traced jobs take. Note this is the
-// current tree's scalar loop, which shares the data-layout work; the
-// BENCH_hotpath.json speedup is measured against the base commit's
-// BenchmarkHotPath, run interleaved by scripts/bench_hotpath.sh (see
-// EXPERIMENTS.md).
+// BenchmarkHotPathScalar meters batches of one reference on the same
+// fixture — the shape traced jobs run. It is the same engine loop as
+// BenchmarkHotPath; the BENCH_hotpath.json speedup is measured against
+// the base commit's BenchmarkHotPath, run interleaved by
+// scripts/bench_hotpath.sh (see EXPERIMENTS.md).
 func BenchmarkHotPathScalar(b *testing.B) {
 	h, err := experiments.NewHotPath(1)
 	if err != nil {

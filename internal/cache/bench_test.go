@@ -37,32 +37,48 @@ func benchStreams() []benchStream {
 	return streams
 }
 
-// BenchmarkLLCReplay meters the variants' private LLCs as the batched
-// engine drives them: four 4 MB LLCs, each fed the same stream in
-// 256-event batches, variant-major, as stepBatch replays the shared
-// front's recording. One op is one event applied to all four LLCs.
-func BenchmarkLLCReplay(b *testing.B) {
+// BenchmarkSharedLLC meters the LLC as the batched engine drives it:
+// one SharedLLC with four variant views, each of which has forked a
+// sixteenth of the sets (the engine's walkers fork a few hundred of
+// the 4096), fed the stream in 256-event batches, one event per
+// reference: the shared pass, then each view's pass. One op is one
+// event applied for all four variants.
+func BenchmarkSharedLLC(b *testing.B) {
 	for _, bs := range benchStreams() {
 		b.Run(bs.name, func(b *testing.B) {
 			const variants, batch = 4, 256
 			stream := bs.events
-			llcs := make([]*Cache, variants)
-			for i := range llcs {
-				llcs[i] = New(llcConfig(), &Memory{Latency: 200})
+			s := NewSharedLLC()
+			views := make([]*LLCView, variants)
+			for i := range views {
+				views[i] = s.NewView()
 			}
-			replay := func(events []LLCEvent) {
-				for _, llc := range llcs {
-					for _, e := range events {
-						llc.Access(e.Addr, e.Write)
+			run := func(events []LLCEvent) {
+				for lo := 0; lo < len(events); lo += batch {
+					chunk := events[lo:min(lo+batch, len(events))]
+					s.Begin()
+					for i := range chunk {
+						s.Apply(chunk[i:i+1], !chunk[i].Write)
+					}
+					for _, v := range views {
+						for range chunk {
+							v.Next()
+						}
 					}
 				}
 			}
-			replay(stream) // warm: steady-state occupancy, not cold fills
+			s.Begin()
+			for i, v := range views {
+				for set := i; set < s.shared.sets; set += 16 {
+					v.WalkAccess(arch.PAddr(set * arch.CacheLineSize))
+				}
+			}
+			run(stream) // warm: steady-state occupancy, not cold fills
 			b.ResetTimer()
 			for done := 0; done < b.N; {
 				lo := done % len(stream)
 				n := min(batch, b.N-done, len(stream)-lo)
-				replay(stream[lo : lo+n])
+				run(stream[lo : lo+n])
 				done += n
 			}
 		})

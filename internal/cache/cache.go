@@ -125,6 +125,22 @@ func New(cfg Config, next Level) *Cache {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, sets))
 	}
+	c := newSparse(cfg, sets, next)
+	c.tags = make([]uint32, linesTotal)
+	c.lru = make([]uint64, sets)
+	// The unused high nibbles must read zero: touch shifts them down
+	// into the permutation.
+	identity := identityLRU & (^uint64(0) >> (64 - 4*uint(cfg.Ways)))
+	for s := range c.lru {
+		c.lru[s] = identity
+	}
+	return c
+}
+
+// newSparse builds a level with New's geometry but no sets stored: a
+// variant's private LLC copy (shared.go) appends the sets it forks,
+// each at the next free slot.
+func newSparse(cfg Config, sets int, next Level) *Cache {
 	c := &Cache{
 		cfg:      cfg,
 		sets:     sets,
@@ -132,15 +148,7 @@ func New(cfg Config, next Level) *Cache {
 		ways:     cfg.Ways,
 		mruShift: 4 * uint(cfg.Ways-1),
 		hitLat:   cfg.HitLatency,
-		tags:     make([]uint32, linesTotal),
-		lru:      make([]uint64, sets),
 		next:     next,
-	}
-	// The unused high nibbles must read zero: touch shifts them down
-	// into the permutation.
-	identity := identityLRU & (^uint64(0) >> (64 - 4*uint(cfg.Ways)))
-	for s := range c.lru {
-		c.lru[s] = identity
 	}
 	switch n := next.(type) {
 	case *Cache:
@@ -179,14 +187,22 @@ func (c *Cache) fill(addr arch.PAddr, write bool) int {
 	return c.next.Access(addr, write)
 }
 
+// setOf returns the set addr maps to.
+func (c *Cache) setOf(addr arch.PAddr) int { return int(addr.Line()) & (c.sets - 1) }
+
 // Access implements Level.
 func (c *Cache) Access(addr arch.PAddr, write bool) int {
-	lineNo := addr.Line()
-	set := int(lineNo) & (c.sets - 1)
+	return c.accessAt(c.setOf(addr), addr, write)
+}
+
+// accessAt services an access to addr's set stored at slot, i.e. in
+// tags[slot*ways:] and lru[slot]. A full cache stores set s at slot s;
+// a sparse copy (newSparse) stores its sets in the order it took them.
+func (c *Cache) accessAt(slot int, addr arch.PAddr, write bool) int {
 	// key is the stored form of the tag. It is compared in 64 bits so
 	// a tag too wide for the lane can never hit; miss rejects it.
-	key := lineNo>>c.setShift + 1
-	block := set * c.ways
+	key := addr.Line()>>c.setShift + 1
+	block := slot * c.ways
 
 	// Hit scan: one load and masked compare per way over the set's
 	// contiguous tag words (invalid ways hold 0, which no key equals).
@@ -197,14 +213,14 @@ func (c *Cache) Access(addr arch.PAddr, write bool) int {
 			if write {
 				lane[j] = w | dirtyBit
 			}
-			c.touch(set, j)
+			c.touch(slot, j)
 			return c.hitLat
 		}
 	}
-	return c.miss(addr, write, block, set, key)
+	return c.miss(addr, write, block, slot, key)
 }
 
-// touch moves way to the MRU end of set's permutation. The common
+// touch moves way to the MRU end of the permutation at slot. The common
 // case, a hit on the MRU way, is a no-op. Otherwise the way's nibble
 // is found with the zero-nibble trick: XOR with way in every nibble
 // zeroes exactly the matching nibbles, and the lowest zero nibble of x
@@ -212,27 +228,27 @@ func (c *Cache) Access(addr arch.PAddr, write bool) int {
 // flag nibbles above a true zero). Unused high nibbles XOR to way and
 // read as zero for way 0, but way 0 always sits lower, so they never
 // win.
-func (c *Cache) touch(set, way int) {
-	perm := c.lru[set]
+func (c *Cache) touch(slot, way int) {
+	perm := c.lru[slot]
 	if perm>>c.mruShift == uint64(way) {
 		return
 	}
 	x := perm ^ uint64(way)*nibbleOnes
 	p := uint(bits.TrailingZeros64((x-nibbleOnes)&^x&nibbleHighs)) &^ 3
-	c.lru[set] = perm&(1<<p-1) | perm>>(p+4)<<p | uint64(way)<<c.mruShift
+	c.lru[slot] = perm&(1<<p-1) | perm>>(p+4)<<p | uint64(way)<<c.mruShift
 }
 
 // miss services a demand miss: the victim is the permutation's LRU
 // nibble, rotated to the MRU end; then the next-level fill and the
 // writeback accounting.
-func (c *Cache) miss(addr arch.PAddr, write bool, block, set int, key uint64) int {
+func (c *Cache) miss(addr arch.PAddr, write bool, block, slot int, key uint64) int {
 	if key > uint64(tagMask) {
 		panic(fmt.Sprintf("cache %s: physical address %#x exceeds the 31-bit tag field", c.cfg.Name, uint64(addr)))
 	}
 	c.stats.Misses++
-	perm := c.lru[set]
+	perm := c.lru[slot]
 	vi := int(perm & 0xF)
-	c.lru[set] = perm>>4 | uint64(vi)<<c.mruShift
+	c.lru[slot] = perm>>4 | uint64(vi)<<c.mruShift
 
 	lat := c.hitLat + c.fill(addr, false)
 	if vt := c.tags[block+vi]; vt != 0 {
@@ -241,7 +257,7 @@ func (c *Cache) miss(addr arch.PAddr, write bool, block, set int, key uint64) in
 			c.stats.Writebacks++
 			// Writebacks happen off the critical path; count but do not
 			// add latency.
-			wbAddr := arch.PAddr(((uint64(vt&tagMask)-1)<<c.setShift | uint64(set)) * arch.CacheLineSize)
+			wbAddr := arch.PAddr(((uint64(vt&tagMask)-1)<<c.setShift | uint64(c.setOf(addr))) * arch.CacheLineSize)
 			c.fill(wbAddr, true)
 		}
 	}
@@ -277,8 +293,7 @@ func (m *Memory) Access(arch.PAddr, bool) int {
 func (m *Memory) Accesses() uint64 { return m.accesses }
 
 // Hierarchy bundles the three-level configuration the paper simulates
-// (32 KB L1 / 256 KB L2 / 4 MB LLC, Intel Core i7-like). A NewBackEnd
-// hierarchy has only the LLC and memory; its L1 and L2 are nil.
+// (32 KB L1 / 256 KB L2 / 4 MB LLC, Intel Core i7-like).
 type Hierarchy struct {
 	L1  *Cache
 	L2  *Cache
@@ -287,27 +302,23 @@ type Hierarchy struct {
 }
 
 // The paper's level geometries (32 KB L1 / 256 KB L2 / 4 MB LLC,
-// Intel Core i7-like), shared by DefaultHierarchy and NewFront so the
-// split front/back wiring simulates the same machine.
+// Intel Core i7-like) and memory latency, shared by DefaultHierarchy,
+// NewFront and NewSharedLLC so the split front/shared-LLC wiring
+// simulates the same machine.
 func l1Config() Config  { return Config{Name: "L1", SizeBytes: 32 << 10, Ways: 8, HitLatency: 4} }
 func l2Config() Config  { return Config{Name: "L2", SizeBytes: 256 << 10, Ways: 8, HitLatency: 12} }
 func llcConfig() Config { return Config{Name: "LLC", SizeBytes: 4 << 20, Ways: 16, HitLatency: 30} }
 
+// memLatency is the paper's memory latency in cycles, below the LLC.
+const memLatency = 200
+
 // DefaultHierarchy builds the paper's cache configuration.
 func DefaultHierarchy() *Hierarchy {
-	h := NewBackEnd()
+	mem := &Memory{Latency: memLatency}
+	h := &Hierarchy{LLC: New(llcConfig(), mem), Mem: mem}
 	h.L2 = New(l2Config(), h.LLC)
 	h.L1 = New(l1Config(), h.L2)
 	return h
-}
-
-// NewBackEnd builds only the paper's LLC over memory: a TLB variant's
-// private back end when a shared Front supplies L1 and L2. Its L1 and
-// L2 are nil, so it serves WalkAccess and direct LLC accesses, not
-// DataAccess.
-func NewBackEnd() *Hierarchy {
-	mem := &Memory{Latency: 200}
-	return &Hierarchy{LLC: New(llcConfig(), mem), Mem: mem}
 }
 
 // DataAccess services a demand data reference from the core (enters at

@@ -12,9 +12,9 @@ import "colt/internal/arch"
 // Simulating N private L1/L2 pairs therefore repeats the exact same
 // probes N times. The Front runs that shared portion once per
 // reference and records the requests L2 would have sent to the LLC;
-// each variant replays the recording against its own private LLC,
-// reproducing its former per-variant LLC state, statistics, and
-// demand latency exactly.
+// a SharedLLC (shared.go) applies the recording once for all
+// variants, reproducing each variant's private LLC state and demand
+// latency exactly.
 
 // LLCEvent is one L2→LLC request captured by a Front: a demand fill
 // (Write false) or an eviction writeback (Write true).
@@ -25,7 +25,7 @@ type LLCEvent struct {
 
 // recorder is the terminal Level under the front's L2: it captures
 // each request instead of servicing it, contributing zero latency (the
-// variant's own LLC supplies the latency during replay).
+// LLC supplies the latency when the recording is applied).
 type recorder struct{ events []LLCEvent }
 
 func (r *recorder) Access(addr arch.PAddr, write bool) int {

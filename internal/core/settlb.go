@@ -308,11 +308,11 @@ func (t *SetAssocTLB) insert(run Run, needEvicted bool) (evicted Run, wasEvicted
 
 	// One fused pass over the set: the overlap check (same block,
 	// overlapping coverage → replace in place) and the victim scan — a
-	// first-minimum over the rank lane, which encodes lessEntryLRU's
-	// "invalid ways first, then least-recently used, first-lowest wins"
-	// ordering in a single unsigned compare per way. Fills rarely
-	// overlap a resident entry, so a separate overlap pass would walk
-	// the whole set for nothing on almost every insert.
+	// first-minimum over the rank lane, which encodes the "invalid ways
+	// first, then least-recently used, first-lowest wins" ordering in a
+	// single unsigned compare per way. Fills rarely overlap a resident
+	// entry, so a separate overlap pass would walk the whole set for
+	// nothing on almost every insert.
 	base := set * t.ways
 	if w := t.tagv[base]; w>>8 == tag && w&uint64(vbits) != 0 {
 		t.setEntry(base, tag, vbits, run.BasePFN, run.Attr, now)
@@ -380,12 +380,6 @@ func (t *SetAssocTLB) victimVPN(i int) arch.VPN {
 	set := i / t.ways
 	block := t.tagv[i]>>8<<t.setBits | uint64(set)
 	return arch.VPN(block << t.shift)
-}
-
-// lessEntryLRU orders replacement candidates: invalid ways first, then
-// least-recently used — exactly the rank lane's unsigned order.
-func (t *SetAssocTLB) lessEntryLRU(a, b int) bool {
-	return t.rank[a] < t.rank[b]
 }
 
 // Invalidate drops any entry translating vpn. Entire coalesced entries

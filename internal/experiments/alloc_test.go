@@ -9,10 +9,11 @@ import (
 )
 
 // TestSteadyStateAccessZeroAlloc pins the simulator's per-reference
-// cost: after warmup, one benchSim.step — workload generation, VPN
-// resolve, every variant's TLB probe + possible page walk, and the
-// data-cache access — must not touch the heap. Any regression here
-// multiplies across the millions of references of a full sweep.
+// cost: after warmup, one reference (a batch of one) — workload
+// generation, VPN resolve, every variant's TLB probe + possible page
+// walk, and the data-cache access — must not touch the heap. Any
+// regression here multiplies across the millions of references of a
+// full sweep.
 func TestSteadyStateAccessZeroAlloc(t *testing.T) {
 	opts := QuickOptions()
 	opts.Refs = 0
@@ -53,27 +54,35 @@ func stepAllocFree(t *testing.T, opts Options) {
 	// rather than cold-start fills.
 	ref := 0
 	for ; ref < opts.Warmup; ref++ {
-		if err := b.step(ref); err != nil {
+		if _, err := b.stepBatch(ref, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
+	forks := func() (n int) {
+		for _, s := range b.sims {
+			n += s.llc.Forks()
+		}
+		return n
+	}
+	before := forks()
 	avg := testing.AllocsPerRun(2000, func() {
 		// Keep ref advancing so the sampled oracle check (every 1024
 		// refs) is included in the average at its real frequency.
-		if err := b.step(ref); err != nil {
+		if _, err := b.stepBatch(ref, 1); err != nil {
 			t.Fatal(err)
 		}
 		ref++
 	})
 	if avg != 0 {
-		t.Errorf("benchSim.step allocates %.3f times per reference in steady state, want 0", avg)
+		t.Errorf("benchSim.stepBatch allocates %.3f times per reference in steady state, want 0", avg)
 	}
 
 	// The batched hot loop carries the same guarantee: decoding a whole
-	// batch, every variant's pass, the shared-front recording, and the
-	// LLC replays must all run out of the preallocated buffers. (The
-	// frontEvents spill buffer grows early in the run; after warmup its
-	// capacity has reached steady state.)
+	// batch, the shared front and LLC passes, and every variant's pass
+	// must all run out of reused buffers. (The shared LLC's batch log
+	// grows early in the run; after warmup its capacity has reached
+	// steady state. A variant's forked LLC sets grow by doubling, so
+	// forks cost amortized allocations well below one per reference.)
 	avg = testing.AllocsPerRun(200, func() {
 		n, err := b.stepBatch(ref, DefaultBatchSize)
 		if err != nil {
@@ -83,5 +92,10 @@ func stepAllocFree(t *testing.T, opts Options) {
 	})
 	if avg != 0 {
 		t.Errorf("benchSim.stepBatch allocates %.3f times per batch in steady state, want 0", avg)
+	}
+	// The measured steps must include the rare path: variants forking
+	// shared LLC sets.
+	if forks() == before {
+		t.Error("no variant forked a shared LLC set in the measured steps")
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // The batching-equivalence harness: stepBatch is an optimization, not a
 // semantic change, so the stable report JSON of every golden experiment
-// must be byte-identical at every batch size — including 1, which
-// forces the scalar step loop — and at every parallel width. This is
+// must be byte-identical at every batch size — including 1, the batch
+// of one that traced jobs run — and at every parallel width. This is
 // the contract that lets the hot loop batch aggressively: any
 // observable divergence (a counter, a latency, a histogram bucket)
 // fails here before it can reach a golden.
@@ -43,7 +43,7 @@ func TestBatchSizeEquivalence(t *testing.T) {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
-			// The reference report: scalar loop, serial driver.
+			// The reference report: batches of one, serial driver.
 			want, err := equivReport(g.name, g.run, 1, 1)
 			if err != nil {
 				t.Fatal(err)

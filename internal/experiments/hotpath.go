@@ -10,7 +10,7 @@ import (
 // on, normal compaction" with the standard four variants at
 // QuickOptions scale, warmed up and ready to step. It pins the refs/sec
 // trajectory tracked in BENCH_hotpath.json: BenchmarkHotPath (repo
-// root) drives Steps, the scalar baseline drives StepsScalar, and both
+// root) drives Steps, BenchmarkHotPathScalar drives StepsScalar, and both
 // run exactly the code RunBenchmark runs — the fixture exists so the
 // benchmark can meter steady-state stepping without re-paying system
 // build and warmup per measurement.
@@ -57,11 +57,11 @@ func (h *HotPath) Steps(n int) error {
 	return nil
 }
 
-// StepsScalar runs n references through the pre-batching scalar loop
-// (step), the baseline the refs/sec speedup is measured against.
+// StepsScalar runs n references in batches of one, the shape traced
+// jobs run.
 func (h *HotPath) StepsScalar(n int) error {
 	for i := 0; i < n; i++ {
-		if err := h.b.step(h.ref); err != nil {
+		if _, err := h.b.stepBatch(h.ref, 1); err != nil {
 			return err
 		}
 		h.ref++

@@ -75,12 +75,12 @@ type Options struct {
 	// rng.Stream, never from scheduling order.
 	Parallel int
 	// BatchSize is how many references the benchmark hot loop decodes
-	// and simulates per batch (0 selects DefaultBatchSize, 1 forces the
-	// scalar path). Like Parallel it is a pure execution-shape knob:
-	// results are byte-identical at every batch size — batches stop at
-	// swap-in faults, churn bursts, and cancellation checkpoints so no
-	// observable event moves — and it is likewise excluded from
-	// Snapshot.
+	// and simulates per batch (0 selects DefaultBatchSize; 1 runs one
+	// reference per batch, as traced jobs do). Like Parallel it is a
+	// pure execution-shape knob: results are byte-identical at every
+	// batch size — batches stop at swap-in faults, churn bursts, and
+	// cancellation checkpoints so no observable event moves — and it is
+	// likewise excluded from Snapshot.
 	BatchSize int
 	// Metrics, when non-nil, receives one structured Record per
 	// (benchmark × setup) job from every driver, forming the
@@ -426,35 +426,17 @@ func contigRecord(bench string, setup SystemSetup, seed uint64, res contig.Resul
 }
 
 // simulator bundles one TLB variant's private state: its TLB hierarchy,
-// walker (with MMU cache), and LLC-only cache back end.
+// walker (with MMU cache), and its view of the job's shared LLC.
 type simulator struct {
 	name     string
 	hier     *core.Hierarchy
 	walker   *mmu.Walker
-	caches   *cache.Hierarchy // NewBackEnd: LLC and memory only
+	llc      *cache.LLCView
 	memStall uint64
 	pid      int
 	// tel is this variant's telemetry sink (nil when telemetry is
 	// off): event emission plus per-variant histograms.
 	tel *telemetry.Sink
-}
-
-// replayLLC applies the shared front's recorded LLC-bound requests to
-// this variant's private LLC in order, returning the demand fill's
-// latency (zero when the shared L1/L2 satisfied the demand access).
-// Writeback latencies are discarded, exactly as the in-cache writeback
-// path discards them.
-func (s *simulator) replayLLC(events []cache.LLCEvent, demandMiss bool) int {
-	llc := s.caches.LLC
-	lat := 0
-	if demandMiss {
-		lat = llc.Access(events[0].Addr, events[0].Write)
-		events = events[1:]
-	}
-	for i := range events {
-		llc.Access(events[i].Addr, events[i].Write)
-	}
-	return lat
 }
 
 // Shootdown implements vm.ShootdownHandler: OS events (unmap, migrate,
@@ -659,16 +641,15 @@ type benchSim struct {
 	// Hot-loop shape, decided once at construction so the per-reference
 	// path never re-derives it:
 	//
-	//   hasPlane  — a fault plane is attached; step crosses the
-	//               trace-corrupt site per reference.
+	//   hasPlane  — a fault plane is attached; stepBatch crosses the
+	//               trace-corrupt site per decoded reference.
 	//   hasTracer — an event ring is attached. Ring entries record the
 	//               interleaving of variants within one reference, so
-	//               traced jobs keep the reference-major scalar loop;
-	//               stepBatch falls back to step.
+	//               traced jobs run batches of one reference.
 	//   telPerRef — telemetry sinks are attached; the batch loop must
 	//               replay per-reference refClock values inside each
 	//               variant's run so entry birth times (and hence
-	//               lifetime histograms) match the scalar loop exactly.
+	//               lifetime histograms) do not depend on batch size.
 	hasPlane  bool
 	hasTracer bool
 	telPerRef bool
@@ -676,29 +657,16 @@ type benchSim struct {
 	// the steady-state zero-allocation guarantee covers the batch path.
 	batch []workload.Ref
 
-	// front is the shared L1/L2 data-cache pair. Every variant
-	// translates the same reference stream to the same physical
-	// addresses (the page table is common; stepBatch checks the
-	// translations agree), so the L1/L2 state evolution is identical
-	// across variants and is simulated once per reference. Only each
-	// variant's private LLC — perturbed by its own walker's PTE
-	// fetches — replays the front's recorded LLC-bound requests.
-	front *cache.Front
-	// frontRecs and frontEvents are the reused batch-capture buffers:
-	// variant 0's pass over a batch advances the front and records,
-	// per reference, the front latency, the demand-miss flag, the
-	// translated PFN (for the divergence check), and a span into
-	// frontEvents; the other variants replay from the recording.
-	frontRecs   []frontRec
-	frontEvents []cache.LLCEvent
-}
-
-// frontRec is one reference's captured front outcome (see benchSim.front).
-type frontRec struct {
-	pfn    arch.PFN
-	lat    int32
-	lo, hi int32 // LLC-bound request span in frontEvents
-	demand bool  // events[lo] is the latency-critical demand fill
+	// front is the shared L1/L2 data-cache pair and llc the shared LLC
+	// (DESIGN.md §17). Every variant translates the same reference
+	// stream against the same page table, so the L1/L2 state evolution
+	// is identical across variants and is simulated once per
+	// reference, and the LLC differs between variants only in the sets
+	// their walkers have fetched PTEs into. frontLat is the reused
+	// per-reference L1/L2 latency lane of a batch.
+	front    *cache.Front
+	llc      *cache.SharedLLC
+	frontLat []int32
 }
 
 // newBenchSim boots the system, fragments it, builds the workload, and
@@ -736,7 +704,8 @@ func newBenchSim(spec workload.Spec, setup SystemSetup, opts Options, variants [
 		hasTracer:  tracer != nil,
 		batch:      make([]workload.Ref, opts.batchSize()),
 		front:      cache.NewFront(),
-		frontRecs:  make([]frontRec, opts.batchSize()),
+		llc:        cache.NewSharedLLC(),
+		frontLat:   make([]int32, opts.batchSize()),
 	}
 	telemetryOn := opts.telemetryOn()
 	b.telPerRef = telemetryOn
@@ -744,15 +713,13 @@ func newBenchSim(spec workload.Spec, setup SystemSetup, opts Options, variants [
 		proc.Table.SetWalkDepthHist(&b.walkDepth)
 	}
 	for i, v := range variants {
-		// The shared front serves L1 and L2, so a variant owns only
-		// the LLC its walker perturbs.
-		caches := cache.NewBackEnd()
-		walker := mmu.NewWalker(proc.Table, caches, mmu.NewWalkCache(mmu.DefaultWalkCacheEntries))
+		llc := b.llc.NewView()
+		walker := mmu.NewWalker(proc.Table, llc, mmu.NewWalkCache(mmu.DefaultWalkCacheEntries))
 		b.sims[i] = &simulator{
 			name:   v.Name,
 			hier:   core.NewHierarchy(v.Config, walker),
 			walker: walker,
-			caches: caches,
+			llc:    llc,
 			pid:    proc.PID,
 		}
 		if telemetryOn {
@@ -766,89 +733,9 @@ func newBenchSim(spec workload.Spec, setup SystemSetup, opts Options, variants [
 	return b, master, nil
 }
 
-// step executes one reference of the identical stream against every
-// variant. This is the simulator's hot path: in steady state (no
-// swap-in, no OS churn event) it performs zero heap allocations per
-// reference — guarded by testing.AllocsPerRun.
-func (b *benchSim) step(ref int) error {
-	// Advance simulated time: refClock is cumulative across warmup and
-	// the measured run (monotonic — see the field comment), and stamps
-	// both the event trace and TLB entry birth times.
-	b.refClock++
-	if b.hasTracer {
-		b.tracer.SetNow(b.refClock)
-	}
-	// One trace-corrupt crossing per reference: an injected fault means
-	// this record of the reference stream could not be decoded, which
-	// aborts the job (there is no way to skip a reference and keep the
-	// variants' streams aligned). The hasPlane/hasTracer booleans are
-	// decided once at construction: disabled planes and tracers cost
-	// nothing per reference, not even a nil-object method call.
-	if b.hasPlane {
-		if err := b.plane.Fail(fault.SiteTraceCorrupt); err != nil {
-			return fmt.Errorf("%s: decoding trace record %d: %w", b.spec.Name, ref, err)
-		}
-	}
-	va, write, gap := b.w.Next()
-	vpn := va.Page()
-	b.instructions += uint64(gap)
-	// A touched page may have been swapped out under memory
-	// pressure: service the major fault before the TLB probes.
-	if _, _, ok := b.proc.Resolve(vpn); !ok {
-		swappedIn, err := b.proc.EnsureResident(vpn)
-		if err != nil {
-			return err
-		}
-		if !swappedIn {
-			return fmt.Errorf("%s: reference to unmapped vpn %d", b.spec.Name, vpn)
-		}
-	}
-	var (
-		frontLat   int
-		events     []cache.LLCEvent
-		demandMiss bool
-		pfn0       arch.PFN
-	)
-	for vi, s := range b.sims {
-		res := s.hier.Access(vpn)
-		if res.Fault {
-			return fmt.Errorf("%s/%s: fault at vpn %d", b.spec.Name, s.name, vpn)
-		}
-		// The first variant's translation drives the shared L1/L2
-		// front; every other variant must translate identically (they
-		// cache the same page table) and only replays the recorded
-		// LLC-bound traffic against its private LLC.
-		if vi == 0 {
-			pfn0 = res.PFN
-			paddr := res.PFN.Addr() + arch.PAddr(va.Offset())
-			frontLat, events, demandMiss = b.front.DataAccess(paddr, write)
-		} else if res.PFN != pfn0 {
-			return fmt.Errorf("%s/%s: translation diverges at vpn %d", b.spec.Name, s.name, vpn)
-		}
-		lat := frontLat + s.replayLLC(events, demandMiss)
-		if lat > l1HitLatency {
-			s.memStall += uint64(lat - l1HitLatency)
-		}
-	}
-	// Oracle check (sampled): every variant must agree with the
-	// page table.
-	if ref%1024 == 0 {
-		want, _, ok := b.proc.Resolve(vpn)
-		if !ok {
-			return fmt.Errorf("%s: vpn %d vanished", b.spec.Name, vpn)
-		}
-		for _, s := range b.sims {
-			if got, hit := s.hier.L2().LookupRun(vpn); hit && got.Translate(vpn) != want {
-				return fmt.Errorf("%s/%s: stale L2 entry for vpn %d", b.spec.Name, s.name, vpn)
-			}
-		}
-	}
-	return nil
-}
-
 // oracleCheck is the sampled agreement check between one variant's L2
-// TLB and the page table (see step's oracle block); Resolve and
-// LookupRun are reads, so checking mid-batch cannot perturb state.
+// TLB and the page table; Resolve and LookupRun are reads, so checking
+// mid-batch cannot perturb state.
 func (b *benchSim) oracleCheck(s *simulator, vpn arch.VPN) error {
 	want, _, ok := b.proc.Resolve(vpn)
 	if !ok {
@@ -861,43 +748,41 @@ func (b *benchSim) oracleCheck(s *simulator, vpn arch.VPN) error {
 }
 
 // stepBatch executes up to max references starting at stream index
-// start, returning how many ran. It is the batched form of step and is
-// observably equivalent to calling step max times (the equivalence
-// goldens byte-compare the two): the workload decodes the whole batch
-// up front, then each variant's simulator runs the batch back to back.
-// Variant-major order is legal because the simulators share no
-// order-sensitive mutable state — the page table and residency maps are
-// read-only inside a batch, fault-plane sites draw from per-site
-// independent RNG streams, and the shared telemetry histograms are
-// commutative counters — while each variant still observes its own
-// accesses in exact stream order. The three events that do couple the
-// variants to shared state each land on a batch edge:
+// start, returning how many ran. The workload decodes the whole batch
+// up front, then runPass simulates it. This is the simulator's hot
+// path: in steady state (no swap-in, no OS churn event) it performs
+// zero heap allocations — guarded by testing.AllocsPerRun. Batch
+// boundaries are invisible: the equivalence goldens byte-compare every
+// batch size, including 1. The simulators share no order-sensitive mutable state inside a batch
+// — the page table and residency maps are read-only, fault-plane sites
+// draw from per-site independent RNG streams, and the shared telemetry
+// histograms are commutative counters — and the events that do couple
+// the variants to shared state each land on a batch edge:
 //
 //   - a reference to a swapped-out page ends its batch (NextBatch
-//     stops there) and is serviced scalar-style below, so the swap-in
-//     and its shootdowns hit every variant at the same stream position
-//     as in the scalar loop;
+//     stops there) and is serviced after the batch's prefix, as a
+//     batch of its own, so the swap-in and its shootdowns hit every
+//     variant at the same stream position;
 //   - churn bursts and cancellation checkpoints run between batches
 //     (the driver clips batches to those boundaries);
 //   - event tracing records the variant interleaving within one
-//     reference, so traced jobs fall back to the scalar loop.
+//     reference, so traced jobs run batches of one reference.
 func (b *benchSim) stepBatch(start, max int) (int, error) {
-	if b.hasTracer || max == 1 {
-		if err := b.step(start); err != nil {
-			return 0, err
-		}
-		return 1, nil
+	if b.hasTracer {
+		max = 1
 	}
-	if max > len(b.batch) {
-		max = len(b.batch)
-	}
+	max = min(max, len(b.batch))
 	n := b.w.NextBatch(b.batch[:max])
 	base := b.refClock
 	b.refClock = base + uint64(n)
-	// Fault-plane crossings, one per decoded record. Site sequences are
-	// independent streams, so grouping the crossings cannot perturb any
-	// other site; a failure aborts the job at the same record index and
-	// crossing sequence number as the scalar loop.
+	if b.hasTracer {
+		b.tracer.SetNow(b.refClock)
+	}
+	// Fault-plane crossings, one per decoded record: an injected fault
+	// means the record could not be decoded, which aborts the job
+	// (there is no way to skip a reference and keep the variants'
+	// streams aligned). Site sequences are independent streams, so
+	// grouping the crossings cannot perturb any other site.
 	if b.hasPlane {
 		for k := 0; k < n; k++ {
 			if err := b.plane.Fail(fault.SiteTraceCorrupt); err != nil {
@@ -909,161 +794,87 @@ func (b *benchSim) stepBatch(start, max int) (int, error) {
 		b.instructions += uint64(b.batch[k].Gap)
 	}
 	// NextBatch guarantees every reference but the last is resident; a
-	// non-resident final reference carries the swap-in fault and is
-	// handled after the batched prefix.
-	prefix := n
-	lastVPN := b.batch[n-1].VA.Page()
-	_, _, lastResident := b.proc.Resolve(lastVPN)
-	if !lastResident {
-		prefix = n - 1
+	// non-resident final reference carries the swap-in fault.
+	last := &b.batch[n-1]
+	if _, _, ok := b.proc.Resolve(last.VA.Page()); ok {
+		return n, b.runPass(start, base, b.batch[:n])
 	}
-	b.frontEvents = b.frontEvents[:0]
+	if err := b.runPass(start, base, b.batch[:n-1]); err != nil {
+		return 0, err
+	}
+	b.refClock = base + uint64(n)
+	vpn := last.VA.Page()
+	swappedIn, err := b.proc.EnsureResident(vpn)
+	if err != nil {
+		return 0, err
+	}
+	if !swappedIn {
+		return 0, fmt.Errorf("%s: reference to unmapped vpn %d", b.spec.Name, vpn)
+	}
+	last.PFN, _, _ = b.proc.Resolve(vpn)
+	return n, b.runPass(start+n-1, base+uint64(n-1), b.batch[n-1:n])
+}
+
+// runPass simulates refs, resident references at stream indices start
+// onward whose reference clock values follow base, in three steps:
+// the shared L1/L2 front runs once, in stream order, on the page
+// table's translations; the shared LLC applies the front's LLC-bound
+// requests, in stream order; then each variant's simulator runs the
+// refs back to back, its walker fetching PTEs through its view of the
+// shared LLC. Each variant still observes its own accesses in exact
+// stream order, and every variant's translation is checked against
+// the page table's.
+func (b *benchSim) runPass(start int, base uint64, refs []workload.Ref) error {
+	frontLat := b.frontLat[:len(refs)]
+	b.llc.Begin()
+	for k := range refs {
+		r := &refs[k]
+		lat, events, demandMiss := b.front.DataAccess(r.PFN.Addr()+arch.PAddr(r.VA.Offset()), r.Write)
+		frontLat[k] = int32(lat)
+		b.llc.Apply(events, demandMiss)
+	}
 	// The sampled oracle fires where (start+k)%1024 == 0; batches are
 	// shorter than the sampling period, so precomputing the single
 	// qualifying batch index replaces a modulo per reference per variant
 	// with one compare.
 	oracleK := (1024 - start%1024) % 1024
-	// The first variant's pass and the replay passes have different
-	// per-reference bodies (record vs. replay), so they are separate
-	// loops rather than one loop with a per-reference discriminant.
-	for vi, s := range b.sims {
-		hier := s.hier
+	for _, s := range b.sims {
+		hier, llc := s.hier, s.llc
 		nextOracle := oracleK
 		// Keep the stall total in a register for the whole pass.
 		stall := s.memStall
-		// Reslice the batch and recording lanes to the prefix once, so
-		// the per-reference indexing below is provably in bounds.
-		batch, recs := b.batch[:prefix], b.frontRecs[:prefix]
-		if vi == 0 {
-			// Recording pass: advance the shared L1/L2 front in stream
-			// order and capture each reference's outcome for the replay
-			// passes.
-			for k := 0; k < prefix; k++ {
-				if b.telPerRef {
-					// Replay the per-reference clock so fills stamp the
-					// same birth times (hence lifetime histograms) as the
-					// scalar loop. A variant's TLB state depends only on
-					// its own access sequence, which is in stream order
-					// here.
-					b.refClock = base + uint64(k) + 1
-				}
-				r := &batch[k]
-				vpn := r.VA.Page()
-				res := hier.Access(vpn)
-				if res.Fault {
-					return 0, fmt.Errorf("%s/%s: fault at vpn %d", b.spec.Name, s.name, vpn)
-				}
-				rec := &recs[k]
-				paddr := res.PFN.Addr() + arch.PAddr(r.VA.Offset())
-				lat, events, demandMiss := b.front.DataAccess(paddr, r.Write)
-				rec.pfn = res.PFN
-				rec.lat = int32(lat)
-				rec.demand = demandMiss
-				rec.lo = int32(len(b.frontEvents))
-				b.frontEvents = append(b.frontEvents, events...)
-				rec.hi = int32(len(b.frontEvents))
-				// The recording variant replays its own LLC-bound
-				// requests too: the front stops at L2, and every
-				// variant's LLC is private.
-				if len(events) != 0 {
-					lat += s.replayLLC(events, demandMiss)
-				}
-				if lat > l1HitLatency {
-					stall += uint64(lat - l1HitLatency)
-				}
-				if k == nextOracle {
-					nextOracle += 1024
-					if err := b.oracleCheck(s, vpn); err != nil {
-						return 0, err
-					}
-				}
+		for k := range refs {
+			if b.telPerRef {
+				// Replay the per-reference clock so fills stamp the
+				// same birth times (hence lifetime histograms) as a
+				// reference-major loop. A variant's TLB state depends
+				// only on its own access sequence, which is in stream
+				// order here.
+				b.refClock = base + uint64(k) + 1
 			}
-		} else {
-			// Replay pass: check translation agreement with the recorded
-			// pass and replay its LLC-bound traffic against this
-			// variant's private LLC.
-			for k := 0; k < prefix; k++ {
-				if b.telPerRef {
-					b.refClock = base + uint64(k) + 1
-				}
-				vpn := batch[k].VA.Page()
-				res := hier.Access(vpn)
-				if res.Fault {
-					return 0, fmt.Errorf("%s/%s: fault at vpn %d", b.spec.Name, s.name, vpn)
-				}
-				rec := &recs[k]
-				if res.PFN != rec.pfn {
-					return 0, fmt.Errorf("%s/%s: translation diverges at vpn %d", b.spec.Name, s.name, vpn)
-				}
-				// Most references are satisfied inside the shared L1/L2
-				// and record no LLC-bound requests; skip the replay call
-				// (and its slice construction) outright for those.
-				lat := int(rec.lat)
-				if rec.lo != rec.hi {
-					lat += s.replayLLC(b.frontEvents[rec.lo:rec.hi], rec.demand)
-				}
-				if lat > l1HitLatency {
-					stall += uint64(lat - l1HitLatency)
-				}
-				if k == nextOracle {
-					nextOracle += 1024
-					if err := b.oracleCheck(s, vpn); err != nil {
-						return 0, err
-					}
+			r := &refs[k]
+			vpn := r.VA.Page()
+			res := hier.Access(vpn)
+			if res.Fault {
+				return fmt.Errorf("%s/%s: fault at vpn %d", b.spec.Name, s.name, vpn)
+			}
+			if res.PFN != r.PFN {
+				return fmt.Errorf("%s/%s: translation of vpn %d diverges from the page table", b.spec.Name, s.name, vpn)
+			}
+			if lat := int(frontLat[k]) + llc.Next(); lat > l1HitLatency {
+				stall += uint64(lat - l1HitLatency)
+			}
+			if k == nextOracle {
+				nextOracle += 1024
+				if err := b.oracleCheck(s, vpn); err != nil {
+					return err
 				}
 			}
 		}
 		s.memStall = stall
 	}
-	b.refClock = base + uint64(n)
-	if !lastResident {
-		// Service the major fault, then run the faulting reference
-		// scalar-style so every variant observes the swap-in (and any
-		// shootdowns it raised) at the same point in its stream.
-		swappedIn, err := b.proc.EnsureResident(lastVPN)
-		if err != nil {
-			return 0, err
-		}
-		if !swappedIn {
-			return 0, fmt.Errorf("%s: reference to unmapped vpn %d", b.spec.Name, lastVPN)
-		}
-		r := &b.batch[n-1]
-		var (
-			frontLat   int
-			events     []cache.LLCEvent
-			demandMiss bool
-			pfn0       arch.PFN
-		)
-		for vi, s := range b.sims {
-			res := s.hier.Access(lastVPN)
-			if res.Fault {
-				return 0, fmt.Errorf("%s/%s: fault at vpn %d", b.spec.Name, s.name, lastVPN)
-			}
-			if vi == 0 {
-				pfn0 = res.PFN
-				paddr := res.PFN.Addr() + arch.PAddr(r.VA.Offset())
-				frontLat, events, demandMiss = b.front.DataAccess(paddr, r.Write)
-			} else if res.PFN != pfn0 {
-				return 0, fmt.Errorf("%s/%s: translation diverges at vpn %d", b.spec.Name, s.name, lastVPN)
-			}
-			lat := frontLat + s.replayLLC(events, demandMiss)
-			if lat > l1HitLatency {
-				s.memStall += uint64(lat - l1HitLatency)
-			}
-		}
-		if (start+n-1)%1024 == 0 {
-			want, _, ok := b.proc.Resolve(lastVPN)
-			if !ok {
-				return 0, fmt.Errorf("%s: vpn %d vanished", b.spec.Name, lastVPN)
-			}
-			for _, s := range b.sims {
-				if got, hit := s.hier.L2().LookupRun(lastVPN); hit && got.Translate(lastVPN) != want {
-					return 0, fmt.Errorf("%s/%s: stale L2 entry for vpn %d", b.spec.Name, s.name, lastVPN)
-				}
-			}
-		}
-	}
-	return n, nil
+	b.refClock = base + uint64(len(refs))
+	return nil
 }
 
 // runRefs drives count references through stepBatch, clipping batches

@@ -10,7 +10,6 @@ package mmu
 
 import (
 	"colt/internal/arch"
-	"colt/internal/cache"
 	"colt/internal/pagetable"
 )
 
@@ -142,17 +141,24 @@ type WalkerStats struct {
 	PWCHits      uint64 // upper-level fetches short-circuited by the MMU cache
 }
 
+// PTEMemory services the walker's PTE fetches, which enter the cache
+// hierarchy at the LLC (§4.1.1): a cache.Hierarchy, or one TLB
+// variant's cache.LLCView of an LLC the variants share.
+type PTEMemory interface {
+	WalkAccess(addr arch.PAddr) int
+}
+
 // Walker performs page walks for one process's page table.
 type Walker struct {
 	table *pagetable.Table
-	mem   *cache.Hierarchy
+	mem   PTEMemory
 	pwc   *WalkCache
 	stats WalkerStats
 }
 
 // NewWalker builds a walker over table using mem for PTE fetches. pwc
 // may be nil to disable the MMU cache.
-func NewWalker(table *pagetable.Table, mem *cache.Hierarchy, pwc *WalkCache) *Walker {
+func NewWalker(table *pagetable.Table, mem PTEMemory, pwc *WalkCache) *Walker {
 	if pwc == nil {
 		pwc = NewWalkCache(0)
 	}

@@ -235,12 +235,14 @@ func (w *Workload) Next() (arch.VAddr, bool, int) {
 }
 
 // Ref is one decoded memory reference, the unit of the batched hot
-// path: a full virtual address, the write flag, and the instruction gap
-// since the previous reference.
+// path: a full virtual address, the write flag, the instruction gap
+// since the previous reference, and the page table's frame for the
+// address's page (0 when the page is not resident).
 type Ref struct {
 	VA    arch.VAddr
 	Write bool
 	Gap   int32
+	PFN   arch.PFN
 }
 
 // NextBatch decodes up to len(dst) references into dst and returns how
@@ -256,8 +258,9 @@ type Ref struct {
 func (w *Workload) NextBatch(dst []Ref) int {
 	for i := range dst {
 		va, write, gap := w.Next()
-		dst[i] = Ref{VA: va, Write: write, Gap: int32(gap)}
-		if _, _, ok := w.Proc.Resolve(va.Page()); !ok {
+		pfn, _, ok := w.Proc.Resolve(va.Page())
+		dst[i] = Ref{VA: va, Write: write, Gap: int32(gap), PFN: pfn}
+		if !ok {
 			return i + 1
 		}
 	}

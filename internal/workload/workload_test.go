@@ -275,8 +275,9 @@ func TestCapture(t *testing.T) {
 }
 
 // TestNextBatchMatchesNext pins the batched decoder's contract: each
-// NextBatch slot is exactly what a Next call would have returned, at
-// every batch size, so batching can never change the reference stream.
+// NextBatch slot is exactly what a Next call would have returned, with
+// the page table's frame for it, at every batch size, so batching can
+// never change the reference stream.
 func TestNextBatchMatchesNext(t *testing.T) {
 	spec, err := ByName("Mcf")
 	if err != nil {
@@ -295,7 +296,8 @@ func TestNextBatchMatchesNext(t *testing.T) {
 			}
 			for i := 0; i < n; i++ {
 				va, write, gap := scalar.Next()
-				if got, want := dst[i], (Ref{VA: va, Write: write, Gap: int32(gap)}); got != want {
+				pfn, _, _ := scalar.Proc.Resolve(va.Page())
+				if got, want := dst[i], (Ref{VA: va, Write: write, Gap: int32(gap), PFN: pfn}); got != want {
 					t.Fatalf("size %d: ref %d diverges: batch %+v scalar %+v",
 						size, done+i, got, want)
 				}
